@@ -8,7 +8,7 @@ GO ?= go
 # ChildLookup is a nanosecond-scale operation and needs a fixed high
 # iteration count — 30 iterations of a ~50ns op is pure timer noise.
 # HotPath is anchored so it does not also select BenchmarkHotPathSize.
-BENCHES = BenchmarkMergeRanks|BenchmarkParallelMerge|BenchmarkBuildCCT|BenchmarkReadBinary|BenchmarkDerivedEval|BenchmarkSortTree|BenchmarkHotPath$$|BenchmarkComputeMetrics|BenchmarkLazyOpen|BenchmarkConcurrentSessions|BenchmarkMappedOpen|BenchmarkColdFirstQuery|BenchmarkCatalogSessions|BenchmarkTraceView|BenchmarkTraceCapture|BenchmarkImportPprof|BenchmarkReport$$
+BENCHES = BenchmarkMergeRanks|BenchmarkParallelMerge|BenchmarkBuildCCT|BenchmarkReadBinary|BenchmarkDerivedEval|BenchmarkSortTree|BenchmarkHotPath$$|BenchmarkComputeMetrics|BenchmarkConcurrentSessions|BenchmarkMappedOpen|BenchmarkColdFirstQuery|BenchmarkCatalogSessions|BenchmarkTraceView|BenchmarkTraceCapture|BenchmarkImportPprof|BenchmarkReport$$
 BENCH_CMD = $(GO) test -run XXX -bench '$(BENCHES)' -benchtime 30x -benchmem . \
 	&& $(GO) test -run XXX -bench BenchmarkChildLookup -benchtime 2000000x -benchmem . \
 	&& $(GO) test -run XXX -bench 'BenchmarkDiffUnion|BenchmarkDiffKernels' -benchtime 5x -benchmem .

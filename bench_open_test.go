@@ -11,43 +11,31 @@ import (
 )
 
 // Open-path benchmarks for the v3 zero-copy layout: opening a database
-// from disk and answering the first query from cold. The v2 stream open
-// must decode the whole tree section — O(file) — before the first scope is
-// visible; the mapped v3 open parses the fixed-width section index and
-// nothing else — O(index) — and faults column slabs in on first touch.
-// Baseline numbers live in BENCH_open.json.
+// from disk and answering the first query from cold. The mapped v3 open
+// parses the fixed-width section index and nothing else — O(index) — and
+// faults column slabs in on first touch. Baseline numbers live in
+// BENCH_open.json.
 
-// openBenchFiles serializes the 100k-scope synthetic CCT in both formats
-// into a temp dir and returns the two paths. The tree is fixed-seed, so
-// both files — and the open-path allocation counts — are deterministic.
-func openBenchFiles(b *testing.B) (v2path, v3path string) {
+// openBenchFile serializes the 100k-scope synthetic CCT as v3 into a temp
+// dir and returns its path. The tree is fixed-seed, so the file — and the
+// open-path allocation counts — are deterministic.
+func openBenchFile(b *testing.B) string {
 	b.Helper()
-	e := expdb.New(syntheticCCT(100_000, 13))
-	dir := b.TempDir()
-	v2path = filepath.Join(dir, "synth.v2.db")
-	v3path = filepath.Join(dir, "synth.v3.db")
-	for _, f := range []struct {
-		path  string
-		write func(*bytes.Buffer) error
-	}{
-		{v2path, func(buf *bytes.Buffer) error { return e.WriteBinary(buf) }},
-		{v3path, func(buf *bytes.Buffer) error { return e.WriteBinaryV3(buf) }},
-	} {
-		var buf bytes.Buffer
-		if err := f.write(&buf); err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(f.path, buf.Bytes(), 0o644); err != nil {
-			b.Fatal(err)
-		}
+	var buf bytes.Buffer
+	if err := expdb.New(syntheticCCT(100_000, 13)).WriteBinaryV3(&buf); err != nil {
+		b.Fatal(err)
 	}
-	return v2path, v3path
+	path := filepath.Join(b.TempDir(), "synth.v3.db")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	return path
 }
 
 // BenchmarkMappedOpen measures the O(index) open: map the file, parse the
 // trailer and section index, and return — no tree decode, no column reads.
 func BenchmarkMappedOpen(b *testing.B) {
-	_, v3path := openBenchFiles(b)
+	v3path := openBenchFile(b)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -56,25 +44,6 @@ func BenchmarkMappedOpen(b *testing.B) {
 			b.Fatal(err)
 		}
 		if err := db.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLazyOpenSynthetic is the v2 baseline on the same database:
-// read the file and open it lazily. The lazy open already skips the
-// overrides and provenance sections, but the tree section — base values
-// inline — must still be decoded scope by scope.
-func BenchmarkLazyOpenSynthetic(b *testing.B) {
-	v2path, _ := openBenchFiles(b)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		data, err := os.ReadFile(v2path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := expdb.OpenLazy(bytes.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -95,7 +64,7 @@ func coldQuery(b *testing.B, snap *engine.Snapshot) {
 // mapped path: open, decode metadata, fault in the queried column slabs
 // (checksummed on first touch), run the hot path, release the mapping.
 func BenchmarkColdFirstQueryMapped(b *testing.B) {
-	_, v3path := openBenchFiles(b)
+	v3path := openBenchFile(b)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -107,24 +76,5 @@ func BenchmarkColdFirstQueryMapped(b *testing.B) {
 		if err := snap.Close(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkColdFirstQueryLazy is the v2 time-to-first-answer baseline over
-// the same synthetic database.
-func BenchmarkColdFirstQueryLazy(b *testing.B) {
-	v2path, _ := openBenchFiles(b)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		data, err := os.ReadFile(v2path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		db, err := expdb.OpenLazy(bytes.NewReader(data))
-		if err != nil {
-			b.Fatal(err)
-		}
-		coldQuery(b, engine.NewLazySnapshot(db))
 	}
 }

@@ -1,20 +1,16 @@
 package repro
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/expdb"
-	"repro/internal/merge"
-	"repro/internal/metric"
 )
 
 // Query-path benchmarks: the interactive operations the paper's viewer
 // performs on every user action — derived-metric evaluation (Section V-D),
 // metric-column sorting (Section V-A), hot path analysis (Section V-C,
-// Equation 3), the Equation 1/2 metric computation itself, and opening an
-// experiment database. Baseline numbers live in BENCH_query.json.
+// Equation 3) and the Equation 1/2 metric computation itself. Baseline
+// numbers live in BENCH_query.json.
 
 // derivedEvalTree builds the ~100k-scope synthetic CCT with a chain of
 // derived columns: two referencing the raw column and one referencing an
@@ -80,49 +76,5 @@ func BenchmarkComputeMetrics(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		t.ComputeMetrics()
-	}
-}
-
-// lazyOpenDB serializes a merged multi-rank pflotran database with summary
-// columns over every raw metric — the shape where the overrides section is
-// substantial and an open that skips it saves real work.
-func lazyOpenDB(b *testing.B) []byte {
-	b.Helper()
-	doc, profs := mustMPIProfiles(b, "pflotran", 16)
-	res, err := merge.Profiles(doc, profs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var raws []int
-	for _, d := range res.Tree.Reg.Columns() {
-		if d.Kind == metric.Raw {
-			raws = append(raws, d.ID)
-		}
-	}
-	for _, id := range raws {
-		if err := res.AddSummaries(id, metric.OpMean, metric.OpMin, metric.OpMax, metric.OpStdDev); err != nil {
-			b.Fatal(err)
-		}
-	}
-	e := expdb.FromMerge(res)
-	var buf bytes.Buffer
-	if err := e.WriteBinary(&buf); err != nil {
-		b.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-func BenchmarkLazyOpen(b *testing.B) {
-	data := lazyOpenDB(b)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		db, err := expdb.OpenLazy(bytes.NewReader(data))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !db.Lazy() {
-			b.Fatal("open was not lazy")
-		}
 	}
 }

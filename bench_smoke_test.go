@@ -60,11 +60,8 @@ func TestBenchSmoke(t *testing.T) {
 		{"SortTree", BenchmarkSortTree},
 		{"HotPath", BenchmarkHotPath},
 		{"ComputeMetrics", BenchmarkComputeMetrics},
-		{"LazyOpen", BenchmarkLazyOpen},
 		{"MappedOpen", BenchmarkMappedOpen},
-		{"LazyOpenSynthetic", BenchmarkLazyOpenSynthetic},
 		{"ColdFirstQueryMapped", BenchmarkColdFirstQueryMapped},
-		{"ColdFirstQueryLazy", BenchmarkColdFirstQueryLazy},
 		{"ConcurrentSessions", BenchmarkConcurrentSessions},
 		{"CatalogSessions", BenchmarkCatalogSessions},
 		{"DiffUnion", BenchmarkDiffUnion},

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/correlate"
+	"repro/internal/engine"
 	"repro/internal/expdb"
 	"repro/internal/imbalance"
 	"repro/internal/lower"
@@ -26,7 +27,6 @@ import (
 	"repro/internal/sampler"
 	"repro/internal/sim"
 	"repro/internal/structfile"
-	"repro/internal/viewer"
 	"repro/internal/workloads"
 )
 
@@ -594,7 +594,7 @@ func BenchmarkRenderHTMLReport(b *testing.B) {
 
 func BenchmarkSessionVisibleRows(b *testing.B) {
 	t := syntheticCCT(100_000, 5)
-	s := viewer.New(t, nil)
+	s := engine.NewSession(engine.NewTreeSnapshot(t))
 	s.HotPath(0) // expand a realistic working set
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -25,6 +25,7 @@ import (
 	"io"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/expdb"
 	"repro/internal/imbalance"
 	"repro/internal/lower"
@@ -37,7 +38,6 @@ import (
 	"repro/internal/sampler"
 	"repro/internal/scaling"
 	"repro/internal/structfile"
-	"repro/internal/viewer"
 	"repro/internal/workloads"
 )
 
@@ -295,21 +295,25 @@ func AnalyzeScaling(small, big *Tree, cfg ScalingConfig) (*ScalingResult, error)
 // paths, zoom, flatten, source pane).
 type (
 	// Session is a stateful interactive view over a tree.
-	Session = viewer.Session
+	Session = engine.Session
 	// ViewKind selects the session's active view.
-	ViewKind = viewer.ViewKind
+	ViewKind = engine.ViewKind
 )
 
 // Session view kinds.
 const (
-	ViewCC      = viewer.ViewCC
-	ViewCallers = viewer.ViewCallers
-	ViewFlat    = viewer.ViewFlat
+	ViewCC      = engine.ViewCC
+	ViewCallers = engine.ViewCallers
+	ViewFlat    = engine.ViewFlat
 )
 
 // NewSession starts an interactive session; source (a workload's Program)
 // may be nil when no source pane is needed.
-func NewSession(t *Tree, source *Program) *Session { return viewer.New(t, source) }
+func NewSession(t *Tree, source *Program) *Session {
+	s := engine.NewSession(engine.NewTreeSnapshot(t))
+	s.SetSource(source)
+	return s
+}
 
 // WorkloadProgram returns the named workload's program, e.g. to attach as
 // a session's source pane.

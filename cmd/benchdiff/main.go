@@ -7,9 +7,11 @@
 //	go test -run XXX -bench ... -benchmem . | benchdiff BENCH_core.json ...
 //
 // With -max-regress set (a fraction, e.g. 0.5), the tool exits non-zero
-// when any matched benchmark's ns/op regresses beyond the threshold;
-// allocation counts are compared exactly at any threshold, since they are
-// deterministic where ns/op is noisy.
+// when any matched benchmark's ns/op regresses beyond the threshold, and
+// when a committed baseline matches no benchmark line — a deleted or
+// renamed benchmark must take its baseline with it; allocation counts are
+// compared exactly at any threshold, since they are deterministic where
+// ns/op is noisy.
 package main
 
 import (
@@ -19,6 +21,7 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -60,6 +63,7 @@ func main() {
 	flag.Parse()
 
 	base := map[string]metrics{}
+	from := map[string]string{} // baseline name -> file that declared it
 	for _, path := range flag.Args() {
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -73,6 +77,7 @@ func main() {
 		}
 		for i := range f.Benchmarks {
 			base[f.Benchmarks[i].Name] = f.Benchmarks[i].expected()
+			from[f.Benchmarks[i].Name] = path
 		}
 	}
 
@@ -87,7 +92,7 @@ func main() {
 	}
 
 	failed := false
-	matched := 0
+	seen := map[string]bool{}
 	sc := bufio.NewScanner(os.Stdin)
 	for sc.Scan() {
 		line := sc.Text()
@@ -101,7 +106,7 @@ func main() {
 			fmt.Printf("%-40s (no baseline)\n", name)
 			continue
 		}
-		matched++
+		seen[name] = true
 		ns, _ := strconv.ParseFloat(m[2], 64)
 		out := fmt.Sprintf("%-40s ns/op %12.2f vs %12.2f (%s)", name, ns, want.NsPerOp, pct(ns, want.NsPerOp))
 		if m[3] != "" && want.BytesPerOp >= 0 {
@@ -123,9 +128,22 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 		os.Exit(2)
 	}
-	if matched == 0 {
+	if len(seen) == 0 {
 		fmt.Fprintln(os.Stderr, "benchdiff: no benchmark lines matched a baseline (is stdin -bench output?)")
 		os.Exit(2)
+	}
+	if *maxRegress > 0 {
+		var stale []string
+		for name := range base {
+			if !seen[name] {
+				stale = append(stale, name)
+			}
+		}
+		sort.Strings(stale)
+		for _, name := range stale {
+			fmt.Printf("%-40s STALE-BASELINE (in %s, no benchmark line)\n", name, from[name])
+			failed = true
+		}
 	}
 	if failed {
 		os.Exit(1)

@@ -12,7 +12,7 @@
 //	hpcdiff -o union.db a.db b.db c.db             # write the union database
 //
 // The first database is the baseline; every other input is compared
-// against it. With -o the union is written as an ordinary v2 database that
+// against it. With -o the union is written as an ordinary v3 database that
 // hpcviewer opens like any other — the diff columns are ordinary metrics.
 package main
 
@@ -47,7 +47,6 @@ func run(args []string, stdout io.Writer) error {
 	top := fs.Int("top", 10, "bound each report list (0 = unlimited)")
 	jsonOut := fs.Bool("json", false, "emit the report as JSON")
 	outDB := fs.String("o", "", "write the union database to this path")
-	outFormat := fs.String("format", "binary", "union database format for -o: binary (v2) or v3 (mappable zero-copy)")
 	jobs := fs.Int("jobs", 1, "goroutines for the diff kernels (result is identical for any value)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -107,16 +106,9 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	if *outFormat != "binary" && *outFormat != "v3" {
-		return fmt.Errorf("unknown -format %q (want binary or v3)", *outFormat)
-	}
 	if *outDB != "" {
-		write := res.Exp.WriteBinary
-		if *outFormat == "v3" {
-			write = res.Exp.WriteBinaryV3
-		}
 		// Atomic publish: never leave a torn union database under -o.
-		if err := expdb.WriteFileAtomic(*outDB, func(f *os.File) error { return write(f) }); err != nil {
+		if err := expdb.WriteFileAtomic(*outDB, func(f *os.File) error { return res.Exp.WriteBinaryV3(f) }); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "wrote union database %s (%d scopes, %d columns)\n",

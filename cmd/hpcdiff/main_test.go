@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"os"
@@ -123,12 +124,14 @@ func TestHpcdiffUnionOutput(t *testing.T) {
 	if !strings.Contains(out.String(), "wrote union database union.db") {
 		t.Fatalf("no union confirmation in %q", out.String())
 	}
-	f, err := os.Open(union)
+	data, err := os.ReadFile(union)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	got, err := expdb.Read(f)
+	if !strings.HasPrefix(string(data), "CPDB3") {
+		t.Fatalf("union database is not v3: magic %q", data[:min(len(data), 5)])
+	}
+	got, err := expdb.Read(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,19 +14,23 @@
 //
 // Usage:
 //
-//	hpcprof -S s3d.hpcstruct [-format binary|v3|xml] [-summaries] \
+//	hpcprof -S s3d.hpcstruct [-format v3|xml] [-summaries] \
 //	        [-traces] [-keep-going] [-max-bad-ranks N] \
 //	        -o s3d.db measurements/s3d-*.cpprof
 //
 // hpcprof is also the pprof bridge (DESIGN.md §16). -pprof imports a
 // gzipped Go runtime/pprof profile (CPU, heap, mutex, ...) through the
-// format-neutral source boundary and writes a normal experiment database
-// (CPDB3 by default), so every view, diff, catalog and server path works
-// on real-world profiles unchanged; -export-pprof opens an existing
-// database of any format and writes it back out as a pprof profile:
+// format-neutral source boundary and writes a normal experiment database,
+// so every view, diff, catalog and server path works on real-world
+// profiles unchanged; -export-pprof opens an existing database of any
+// format and writes it back out as a pprof profile:
 //
 //	hpcprof -pprof cpu.pb.gz -o cpu.db
 //	hpcprof -export-pprof cpu.pb.gz cpu.db
+//
+// Databases are written as v3 (CPDB3, the mappable format) unless -format
+// xml asks for the paper's XML; the v1 and v2 binary formats are read but
+// not written.
 //
 // With -traces (v3 output only), the trace sections hpcrun -trace captured
 // are correlated and streamed into the database with zoom pyramids baked
@@ -73,23 +77,17 @@ func run(args []string) (err error) {
 	dflags := diag.Register(fs)
 	structPath := fs.String("S", "", "structure file from hpcstruct (required)")
 	out := fs.String("o", "experiment.db", "output database path")
-	format := fs.String("format", "binary", "database format: binary (v2), v3 (mappable zero-copy) or xml")
+	format := fs.String("format", "v3", "database format: v3 (mappable zero-copy) or xml")
 	summaries := fs.Bool("summaries", false, "add mean/min/max/stddev summary columns across ranks")
 	jobs := fs.Int("jobs", runtime.GOMAXPROCS(0), "parallel merge workers (1 = sequential)")
 	traceOut := fs.Bool("traces", false, "stream captured trace sections into the database with zoom pyramids (v3 format only)")
 	keepGoing := fs.Bool("keep-going", false, "quarantine corrupt/truncated/unreadable measurement files instead of aborting")
 	maxBad := fs.Int("max-bad-ranks", -1, "abort once more than this many files are quarantined (-1 = unlimited; setting it implies -keep-going)")
-	pprofIn := fs.String("pprof", "", "import this gzipped pprof profile instead of hpcrun measurements (no -S; writes CPDB3 unless -format says otherwise)")
+	pprofIn := fs.String("pprof", "", "import this gzipped pprof profile instead of hpcrun measurements (no -S)")
 	pprofOut := fs.String("export-pprof", "", "export an existing experiment database (the positional argument) to a gzipped pprof profile at this path")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	formatSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "format" {
-			formatSet = true
-		}
-	})
 	if *pprofOut != "" {
 		if *pprofIn != "" {
 			return fmt.Errorf("-pprof and -export-pprof are mutually exclusive")
@@ -98,6 +96,9 @@ func run(args []string) (err error) {
 			return fmt.Errorf("-export-pprof needs exactly one database argument, got %d", fs.NArg())
 		}
 		return exportPprof(fs.Arg(0), *pprofOut)
+	}
+	if *format != "v3" && *format != "xml" {
+		return fmt.Errorf("unknown format %q", *format)
 	}
 	if *pprofIn != "" {
 		if *structPath != "" {
@@ -109,12 +110,6 @@ func run(args []string) (err error) {
 		if *traceOut {
 			return fmt.Errorf("-traces requires hpcrun measurements")
 		}
-		if !formatSet {
-			*format = "v3"
-		}
-		if *format != "binary" && *format != "v3" && *format != "xml" {
-			return fmt.Errorf("unknown format %q", *format)
-		}
 		return importPprof(*pprofIn, *out, *format)
 	}
 	if *structPath == "" {
@@ -122,9 +117,6 @@ func run(args []string) (err error) {
 	}
 	if fs.NArg() == 0 {
 		return fmt.Errorf("no profile files given")
-	}
-	if *format != "binary" && *format != "v3" && *format != "xml" {
-		return fmt.Errorf("unknown format %q", *format)
 	}
 	if *maxBad >= 0 {
 		*keepGoing = true
@@ -179,20 +171,7 @@ func run(args []string) (err error) {
 		}
 	}
 
-	// Atomic publish: temp file + fsync + rename, so an interrupted merge
-	// never leaves a torn database under the output name (a catalog spool
-	// would otherwise happily ingest it).
-	err = expdb.WriteFileAtomic(*out, func(f *os.File) error {
-		switch *format {
-		case "xml":
-			return exp.WriteXML(f)
-		case "v3":
-			return exp.WriteBinaryV3(f)
-		default:
-			return exp.WriteBinary(f)
-		}
-	})
-	if err != nil {
+	if err := writeDB(*out, *format, exp); err != nil {
 		return err
 	}
 	if report.Clean() {
@@ -203,6 +182,18 @@ func run(args []string) (err error) {
 			*out, report.Summary(), res.Tree.NumNodes(), res.Tree.Reg.Len())
 	}
 	return nil
+}
+
+// writeDB publishes exp at path as v3 or XML. The write is atomic (temp
+// file + fsync + rename), so an interrupted run never leaves a torn
+// database under the output name for a catalog spool to ingest.
+func writeDB(path, format string, exp *expdb.Experiment) error {
+	return expdb.WriteFileAtomic(path, func(f *os.File) error {
+		if format == "xml" {
+			return exp.WriteXML(f)
+		}
+		return exp.WriteBinaryV3(f)
+	})
 }
 
 // importPprof builds an experiment database from one pprof profile via
@@ -223,17 +214,7 @@ func importPprof(in, out, format string) error {
 		return fmt.Errorf("importing %s: %w", in, err)
 	}
 	exp := &expdb.Experiment{Program: im.Program(), NRanks: im.NRanks(), Tree: tree}
-	err = expdb.WriteFileAtomic(out, func(f *os.File) error {
-		switch format {
-		case "xml":
-			return exp.WriteXML(f)
-		case "binary":
-			return exp.WriteBinary(f)
-		default:
-			return exp.WriteBinaryV3(f)
-		}
-	})
-	if err != nil {
+	if err := writeDB(out, format, exp); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s (pprof import, %d scopes, %d metric columns)\n",
@@ -248,8 +229,8 @@ func exportPprof(dbPath, out string) error {
 		return err
 	}
 	defer sn.Release()
-	// A v3 database faults metric columns on demand; the exporter walks
-	// every raw Base value, so fault everything up front.
+	// An opened database checks metric columns on first touch; the
+	// exporter walks every raw Base value, so fault everything up front.
 	if err := sn.FaultAll(); err != nil {
 		return fmt.Errorf("loading %s: %w", dbPath, err)
 	}

@@ -62,7 +62,7 @@ func writeInputs(t *testing.T, dir string) (structPath string, profPaths []strin
 func TestRunBinaryAndXML(t *testing.T) {
 	dir := t.TempDir()
 	structPath, profs := writeInputs(t, dir)
-	for _, format := range []string{"binary", "xml"} {
+	for _, format := range []string{"v3", "xml"} {
 		out := filepath.Join(dir, "db."+format)
 		args := append([]string{"-S", structPath, "-o", out, "-format", format, "-summaries"}, profs...)
 		if err := run(args); err != nil {
@@ -73,7 +73,7 @@ func TestRunBinaryAndXML(t *testing.T) {
 			t.Fatal(err)
 		}
 		var e *expdb.Experiment
-		if format == "binary" {
+		if format == "v3" {
 			e, err = expdb.ReadBinary(f)
 		} else {
 			e, err = expdb.ReadXML(f)
@@ -133,9 +133,10 @@ func TestRunErrors(t *testing.T) {
 	cases := [][]string{
 		{},                 // missing -S
 		{"-S", structPath}, // no profiles
-		append([]string{"-S", structPath, "-format", "yaml"}, profs...), // bad format
-		append([]string{"-S", filepath.Join(dir, "ghost")}, profs...),   // missing struct
-		{"-S", structPath, structPath},                                  // struct file as profile
+		append([]string{"-S", structPath, "-format", "yaml"}, profs...),   // bad format
+		append([]string{"-S", structPath, "-format", "binary"}, profs...), // v2 is not written
+		append([]string{"-S", filepath.Join(dir, "ghost")}, profs...),     // missing struct
+		{"-S", structPath, structPath},                                    // struct file as profile
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {

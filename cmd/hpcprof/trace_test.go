@@ -128,14 +128,14 @@ func TestTraceJobsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestTracesRequiresV3 rejects -traces with non-v3 formats.
+// TestTracesRequiresV3 rejects -traces with the XML format.
 func TestTracesRequiresV3(t *testing.T) {
 	dir := t.TempDir()
 	structPath, profPaths := writeTracedInputs(t, dir, 1)
-	args := append([]string{"-S", structPath, "-traces",
+	args := append([]string{"-S", structPath, "-traces", "-format", "xml",
 		"-o", filepath.Join(dir, "x.db")}, profPaths...)
 	if err := run(args); err == nil {
-		t.Fatal("-traces without -format v3 must fail")
+		t.Fatal("-traces with -format xml must fail")
 	}
 }
 

@@ -161,20 +161,7 @@ func run(args []string) (err error) {
 		if !*residency {
 			return
 		}
-		data := sn.MappedBytes()
-		if data == nil {
-			fmt.Fprintf(os.Stderr, "hpcserver: residency %s: database is not mapped\n", name)
-			return
-		}
-		fmt.Fprintf(os.Stderr, "hpcserver: residency %s: %s\n", name, diag.ResidencyString(data))
-		spans := sn.SectionSpans()
-		kinds := make([]diag.KindSpan, len(spans))
-		for i, sp := range spans {
-			kinds[i] = diag.KindSpan{Kind: sp.Kind, Data: sp.Data}
-		}
-		for _, line := range diag.ResidencyByKind(kinds) {
-			fmt.Fprintf(os.Stderr, "hpcserver: residency %s:   %s\n", name, line)
-		}
+		diag.ReportResidency(os.Stderr, "hpcserver: residency "+name, sn)
 	}
 
 	// The default database, shared by every session that names no catalog

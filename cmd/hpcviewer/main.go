@@ -220,20 +220,7 @@ func runInteractive(dbPath string, derived derivedFlags, workload, structPath, m
 		if !residency {
 			return
 		}
-		data := snap.MappedBytes()
-		if data == nil {
-			fmt.Fprintf(os.Stderr, "hpcviewer: residency at %s: database is not mapped\n", when)
-			return
-		}
-		fmt.Fprintf(os.Stderr, "hpcviewer: residency at %s: %s\n", when, diag.ResidencyString(data))
-		spans := snap.SectionSpans()
-		kinds := make([]diag.KindSpan, len(spans))
-		for i, sp := range spans {
-			kinds[i] = diag.KindSpan{Kind: sp.Kind, Data: sp.Data}
-		}
-		for _, line := range diag.ResidencyByKind(kinds) {
-			fmt.Fprintf(os.Stderr, "hpcviewer: residency at %s:   %s\n", when, line)
-		}
+		diag.ReportResidency(os.Stderr, "hpcviewer: residency at "+when, snap)
 	}
 	reportResidency("open")
 	defer reportResidency("exit")
@@ -350,7 +337,7 @@ func readDB(path string) (*expdb.Experiment, error) {
 		return nil, err
 	}
 	defer f.Close()
-	// expdb.Read sniffs the magic, accepting binary v1, binary v2 and XML.
+	// expdb.Read sniffs the magic, accepting binary v1, v2, v3 and XML.
 	// The raw file is passed (not a buffered wrapper) so the reader can
 	// bound allocations by the file's actual size.
 	exp, err := expdb.Read(f)

@@ -1,14 +1,15 @@
 // Equivalence tests for the v3 zero-copy storage layout (DESIGN.md §13).
 // Mapping column slabs straight out of the file is performance work only:
-// every view a session renders must be byte-identical no matter which open
-// path produced the snapshot — the eager v2 decode, the lazy v2 open with
-// on-demand fault-in, or the mapped v3 open reading float64 slabs in
-// place.
+// every view a session renders must be byte-identical no matter which
+// format engine.Open was handed — a v3 file mapped with float64 slabs read
+// in place, or a v1, v2 or XML file imported into a v3 heap image — and
+// identical to a snapshot over the eager v2 decode.
 package repro
 
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -51,58 +52,55 @@ func renderViews(t *testing.T, snap *engine.Snapshot) string {
 }
 
 // TestV3OpenPathEquivalence runs every workload × {1, 7, 64} ranks through
-// the three open paths and demands byte-identical renders of all three
-// views. This is the contract that lets hpcviewer/hpcserver switch to
-// mapped v3 databases without a visible change.
+// engine.Open over each database format and demands renders of all three
+// views byte-identical to the eager v2 decode. This is the contract that
+// lets every snapshot be a v3 database without a visible change.
 func TestV3OpenPathEquivalence(t *testing.T) {
 	dir := t.TempDir()
+	formats := []struct {
+		name  string
+		write func(*expdb.Experiment, io.Writer) error
+	}{
+		{"v1", (*expdb.Experiment).WriteBinaryV1},
+		{"v2", (*expdb.Experiment).WriteBinary},
+		{"xml", (*expdb.Experiment).WriteXML},
+		{"v3", (*expdb.Experiment).WriteBinaryV3},
+	}
 	for _, name := range workloads.Names() {
 		for _, ranks := range []int{1, 7, 64} {
 			t.Run(fmt.Sprintf("%s/ranks=%d", name, ranks), func(t *testing.T) {
 				exp := equivExperiment(t, name, ranks)
 
-				var v2buf, v3buf bytes.Buffer
+				var v2buf bytes.Buffer
 				if err := exp.WriteBinary(&v2buf); err != nil {
 					t.Fatal(err)
 				}
-				if err := exp.WriteBinaryV3(&v3buf); err != nil {
-					t.Fatal(err)
-				}
-				v3path := filepath.Join(dir, fmt.Sprintf("%s-%d.db", name, ranks))
-				if err := os.WriteFile(v3path, v3buf.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-
 				eagerExp, err := expdb.Read(bytes.NewReader(v2buf.Bytes()))
 				if err != nil {
 					t.Fatal(err)
 				}
 				eager := renderViews(t, engine.NewSnapshot(eagerExp))
 
-				ldb, err := expdb.OpenLazy(bytes.NewReader(v2buf.Bytes()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				lazy := renderViews(t, engine.NewLazySnapshot(ldb))
-
-				mdb, err := expdb.OpenMapped(v3path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				msnap, err := engine.NewMappedSnapshot(mdb)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mapped := renderViews(t, msnap)
-				if err := msnap.Close(); err != nil {
-					t.Fatal(err)
-				}
-
-				if eager != lazy {
-					t.Errorf("lazy v2 render differs from eager v2:\n%s", firstDiff(eager, lazy))
-				}
-				if eager != mapped {
-					t.Errorf("mapped v3 render differs from eager v2:\n%s", firstDiff(eager, mapped))
+				for _, f := range formats {
+					var buf bytes.Buffer
+					if err := f.write(exp, &buf); err != nil {
+						t.Fatal(err)
+					}
+					path := filepath.Join(dir, fmt.Sprintf("%s-%d.%s.db", name, ranks, f.name))
+					if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+						t.Fatal(err)
+					}
+					snap, err := engine.Open(path)
+					if err != nil {
+						t.Fatalf("%s: %v", f.name, err)
+					}
+					got := renderViews(t, snap)
+					if err := snap.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if got != eager {
+						t.Errorf("engine.Open over %s renders differently from eager v2:\n%s", f.name, firstDiff(eager, got))
+					}
 				}
 			})
 		}

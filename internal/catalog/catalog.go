@@ -156,8 +156,9 @@ type Config struct {
 	// Dir is where ingested databases are stored. Required for Ingest and
 	// the spool watcher; a publish-only catalog may leave it empty.
 	Dir string
-	// MemBudget bounds the total size (bytes on disk, a proxy for mapped
-	// resident ceiling) of snapshots the catalog keeps open; 0 = unbounded.
+	// MemBudget bounds the total database image size (the file size for a
+	// mapped v3 database, the heap image for an imported legacy one) of
+	// snapshots the catalog keeps open; 0 = unbounded.
 	// The budget is enforced by LRU eviction after each open — a single
 	// database larger than the budget still serves, and pinned snapshots
 	// never evict.
@@ -191,7 +192,7 @@ type generation struct {
 	key    Key
 	seq    uint64 // global publish order, tie-break within equal Ts
 	path   string // "" for pinned snapshots
-	size   int64
+	size   int64  // file size until opened, then the image size
 	pinned bool
 
 	// snap is non-nil while the catalog holds a reference (open or
@@ -308,7 +309,7 @@ func (c *Catalog) Pin(name string, snap *engine.Snapshot) error {
 	if c.closed {
 		return ErrClosed
 	}
-	return c.publishLocked(key, "", int64(len(snap.MappedBytes())), snap)
+	return c.publishLocked(key, "", imageSize(snap), snap)
 }
 
 // publishLocked inserts a generation; pinned when snap != nil.
@@ -471,6 +472,11 @@ func (c *Catalog) Acquire(name string) (*engine.Snapshot, Key, error) {
 	}
 }
 
+// imageSize is what an open snapshot counts against the memory budget: the
+// length of its database image. For a mapped v3 file that is the file
+// size; for an imported legacy database, the size of its heap v3 image.
+func imageSize(snap *engine.Snapshot) int64 { return int64(len(snap.MappedBytes())) }
+
 // open opens one generation's file outside the lock and wires resident
 // accounting to the snapshot's true unmap point.
 func (c *Catalog) open(g *generation) (*engine.Snapshot, error) {
@@ -478,7 +484,7 @@ func (c *Catalog) open(g *generation) (*engine.Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	size := g.size
+	size := imageSize(snap)
 	c.residentBytes.Add(size)
 	snap.OnLastRelease(func() { c.residentBytes.Add(-size) })
 	return snap, nil
@@ -487,6 +493,7 @@ func (c *Catalog) open(g *generation) (*engine.Snapshot, error) {
 // installLocked records an open snapshot as the catalog's reference.
 func (c *Catalog) installLocked(g *generation, snap *engine.Snapshot) {
 	g.snap = snap
+	g.size = imageSize(snap)
 	c.openCount++
 	c.openBytes += g.size
 	c.opens++

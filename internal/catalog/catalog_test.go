@@ -2,10 +2,12 @@ package catalog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -13,6 +15,7 @@ import (
 	"repro/internal/expdb"
 	"repro/internal/lower"
 	"repro/internal/merge"
+	"repro/internal/metric"
 	"repro/internal/mpi"
 	"repro/internal/sampler"
 	"repro/internal/structfile"
@@ -695,5 +698,110 @@ func TestConcurrentIngestSameKey(t *testing.T) {
 	}
 	if st := c.Stats(); st.Ingested != 1 || st.IngestErrors != 0 {
 		t.Fatalf("stats after race = %+v, want 1 ingested, 0 errors", st)
+	}
+}
+
+// legacyV2 builds the merged toy experiment with summary columns (so the
+// file has an overrides section) as a legacy v2 database. With
+// damageOverrides, one byte of the overrides payload is flipped.
+func legacyV2(t *testing.T, damageOverrides bool) []byte {
+	t.Helper()
+	spec, err := workloads.ByName("toy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	im, err := lower.Lower(spec.Program, spec.LowerOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := structfile.Recover(im)
+	if err != nil {
+		t.Fatal(err)
+	}
+	profs, err := mpi.Run(im, mpi.Config{NRanks: 2, Events: sampler.DefaultEvents(spec.Period)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := merge.Profiles(doc, profs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.AddSummaries(res.Tree.Reg.ByName("CYCLES").ID, metric.OpMean); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := expdb.FromMerge(res).WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	if !damageOverrides {
+		return data
+	}
+	// Walk the frames: magic, then id | uvarint len | payload | crc32c.
+	for off := len("CPDB2"); off < len(data) && data[off] != 0; {
+		n, vlen := binary.Uvarint(data[off+1:])
+		if vlen <= 0 {
+			t.Fatal("bad frame")
+		}
+		payload := off + 1 + vlen
+		if data[off] == 5 { // overrides
+			data[payload+int(n)/2] ^= 0xff
+			return data
+		}
+		off = payload + int(n) + 4
+	}
+	t.Fatal("no overrides section")
+	return nil
+}
+
+// A pinned legacy database counts its imported image against the memory
+// budget, exactly as a mapped v3 database counts its file.
+func TestPinLegacyCountsImageBytes(t *testing.T) {
+	p := filepath.Join(t.TempDir(), "legacy.db")
+	if err := os.WriteFile(p, legacyV2(t, false), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := engine.Open(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Release()
+	c := New(Config{})
+	defer c.Close()
+	if err := c.Pin("legacy", snap); err != nil {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	if st.OpenBytes <= 0 || st.OpenBytes != int64(len(snap.MappedBytes())) {
+		t.Fatalf("open bytes = %d, want the %d-byte image", st.OpenBytes, len(snap.MappedBytes()))
+	}
+}
+
+// A legacy database with a damaged overrides section opens degraded (the
+// note survives the import), and ingest validation rejects it.
+func TestValidateRejectsDamagedLegacy(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.db")
+	bad := filepath.Join(dir, "bad.db")
+	if err := os.WriteFile(good, legacyV2(t, false), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(bad, legacyV2(t, true), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateFile(good); err != nil {
+		t.Fatalf("intact legacy database rejected: %v", err)
+	}
+	snap, err := engine.Open(bad)
+	if err != nil {
+		t.Fatalf("damaged optional section must degrade, not fail: %v", err)
+	}
+	notes := snap.Notes()
+	snap.Release()
+	if len(notes) != 1 || !strings.Contains(notes[0], "overrides") {
+		t.Fatalf("notes = %q, want the overrides note", notes)
+	}
+	if err := ValidateFile(bad); err == nil || !strings.Contains(err.Error(), "overrides") {
+		t.Fatalf("ValidateFile(damaged legacy) = %v, want an overrides rejection", err)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/expdb"
 )
 
@@ -113,45 +112,23 @@ func (c *Catalog) ingest(key Key, r io.Reader) error {
 // are rejections here — because rejecting now is free while rejecting
 // later costs a session.
 func ValidateFile(path string) error {
-	f, err := os.Open(path)
+	mdb, err := expdb.Open(path)
 	if err != nil {
 		return err
 	}
-	var head [len(expdb.MagicV3)]byte
-	n, _ := io.ReadFull(f, head[:])
-	f.Close()
-	if string(head[:n]) == expdb.MagicV3 {
-		mdb, err := expdb.OpenMapped(path)
-		if err != nil {
-			return err
-		}
-		defer mdb.Close()
-		exp, err := mdb.Experiment()
-		if err != nil {
-			return err
-		}
-		// VerifyAll sweeps every section checksum but reports column damage
-		// the way serving wants it — detached columns plus a note. Strict
-		// mode: any note is a rejection.
-		if err := mdb.VerifyAll(); err != nil {
-			return err
-		}
-		if notes := exp.Notes; len(notes) > 0 {
-			return fmt.Errorf("damaged database: %s", notes[0])
-		}
-		return nil
-	}
-	// v2/v1/XML: open through the engine and force every lazy column in, so
-	// deferred CRC checks run now; a degraded open (notes) is a rejection.
-	snap, err := engine.Open(path)
+	defer mdb.Close()
+	exp, err := mdb.Experiment()
 	if err != nil {
 		return err
 	}
-	defer snap.Release()
-	if err := snap.FaultAll(); err != nil {
+	// VerifyAll sweeps every section checksum but reports column damage the
+	// way serving wants it — detached columns plus a note. Strict mode: any
+	// note, including one an imported legacy database carried over from its
+	// decode, is a rejection.
+	if err := mdb.VerifyAll(); err != nil {
 		return err
 	}
-	if notes := snap.Notes(); len(notes) > 0 {
+	if notes := exp.Notes; len(notes) > 0 {
 		return fmt.Errorf("damaged database: %s", notes[0])
 	}
 	return nil

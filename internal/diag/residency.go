@@ -1,6 +1,32 @@
 package diag
 
-import "fmt"
+import (
+	"fmt"
+	"io"
+
+	"repro/internal/engine"
+)
+
+// ReportResidency writes a snapshot's residency to w, each line prefixed
+// by label: the whole database image, then one line per section kind. A
+// snapshot that is not a true file mapping — an imported legacy database
+// or the nommap read fallback, both heap memory — is reported as not
+// mapped, since probing heap pages says nothing about the file.
+func ReportResidency(w io.Writer, label string, sn *engine.Snapshot) {
+	if !sn.Mapped() {
+		fmt.Fprintf(w, "%s: database is not mapped\n", label)
+		return
+	}
+	fmt.Fprintf(w, "%s: %s\n", label, ResidencyString(sn.MappedBytes()))
+	spans := sn.SectionSpans()
+	kinds := make([]KindSpan, len(spans))
+	for i, sp := range spans {
+		kinds[i] = KindSpan{Kind: sp.Kind, Data: sp.Data}
+	}
+	for _, line := range ResidencyByKind(kinds) {
+		fmt.Fprintf(w, "%s:   %s\n", label, line)
+	}
+}
 
 // ResidencyString formats a Residency probe of data for debug output:
 // "resident 128 KiB of 24.0 MiB (0.5%)", or "resident n/a of ..." when the

@@ -1,8 +1,16 @@
 package diag
 
 import (
+	"bytes"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/expdb"
 )
 
 func TestResidencyByKind(t *testing.T) {
@@ -33,5 +41,46 @@ func TestResidencyByKind(t *testing.T) {
 func TestResidencyByKindEmpty(t *testing.T) {
 	if lines := ResidencyByKind(nil); len(lines) != 0 {
 		t.Fatalf("nil spans produced lines: %v", lines)
+	}
+}
+
+// An imported legacy database lives in heap memory: ReportResidency says
+// so instead of probing heap pages. A v3 file reports the whole image
+// plus per-kind lines when it is truly mapped.
+func TestReportResidencyMappedOnly(t *testing.T) {
+	dir := t.TempDir()
+	e := expdb.New(core.Fig1Tree())
+	for name, write := range map[string]func(io.Writer) error{
+		"legacy.db": e.WriteBinary,
+		"v3.db":     e.WriteBinaryV3,
+	} {
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sn, err := engine.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		ReportResidency(&out, "probe", sn)
+		mapped := sn.Mapped()
+		sn.Close()
+		if name == "legacy.db" && mapped {
+			t.Fatal("imported database reported as mapped")
+		}
+		if !mapped {
+			if out.String() != "probe: database is not mapped\n" {
+				t.Fatalf("%s: report = %q, want not mapped", name, out.String())
+			}
+			continue
+		}
+		if !strings.HasPrefix(out.String(), "probe: resident") || !strings.Contains(out.String(), "probe:   tree:") {
+			t.Fatalf("%s: report = %q", name, out.String())
+		}
 	}
 }

@@ -18,8 +18,8 @@ import (
 	"repro/internal/workloads"
 )
 
-// mergedFixture builds a merged multi-rank experiment whose summary columns
-// live in the v2 overrides section — the shape a lazy open can skip.
+// mergedFixture builds a merged multi-rank experiment with summary columns
+// (stored in the v2 overrides section, or as v3 column slabs).
 func mergedFixture(t *testing.T) *expdb.Experiment {
 	t.Helper()
 	spec, err := workloads.ByName("toy")
@@ -165,43 +165,46 @@ func TestHotPathMemoized(t *testing.T) {
 	}
 }
 
-// TestColumnFaulterLazySession fronts a lazily opened database with a
-// session: only columns the scripted interaction touches are faulted, the
-// faulter runs once per column, and the rendered values match an eager
-// session byte for byte.
-func TestColumnFaulterLazySession(t *testing.T) {
-	e := mergedFixture(t)
-	var buf bytes.Buffer
-	if err := e.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
+// columnSections counts the column sections of an opened snapshot's
+// database image.
+func columnSections(sn *Snapshot) int {
+	n := 0
+	for _, sp := range sn.SectionSpans() {
+		if sp.Kind == "column" {
+			n++
+		}
 	}
-	data := buf.Bytes()
+	return n
+}
 
+// TestColumnFaulterLazySession fronts an opened legacy database with a
+// session: only columns the scripted interaction touches have their
+// sections checksummed, each section once, and the rendered values match
+// a session over the eager decode byte for byte.
+func TestColumnFaulterLazySession(t *testing.T) {
+	data := fixtureBytes(t)
 	eager, err := expdb.Read(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := expdb.OpenLazy(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newTestSession(db.Experiment().Tree, nil)
-	var faults []int
-	s.SetColumnFaulter(func(id int) error {
-		faults = append(faults, id)
-		return db.NeedColumn(id)
-	})
+	snap := openedSnapshot(t, data)
+	s := NewSession(snap)
+	defer s.Close()
+	snap.Close()
+	checked := func() int { return snap.mdb.SectionReads()["column"] }
+	total := columnSections(snap)
 
-	// Sorting by the raw column touches nothing optional.
+	// Sorting by the raw column touches that column only, once.
 	raw := s.Tree().Reg.ByName("CYCLES")
 	s.SetSort(core.SortSpec{MetricID: raw.ID})
 	s.VisibleRows()
+	rawChecks := checked()
 	s.VisibleRows()
-	if n := db.SectionReads()["overrides"]; n != 0 {
-		t.Fatalf("raw-column session decoded overrides %d times", n)
+	if rawChecks == 0 || checked() != rawChecks {
+		t.Fatalf("raw-column session checked %d then %d column sections, want a fixed nonzero count", rawChecks, checked())
 	}
-	if len(faults) != 1 {
-		t.Fatalf("faulter ran %d times for one column, want 1", len(faults))
+	if rawChecks >= total {
+		t.Fatalf("raw-column session checked all %d column sections", total)
 	}
 
 	// Rendering a summary column faults it in; the output then matches an
@@ -222,8 +225,8 @@ func TestColumnFaulterLazySession(t *testing.T) {
 	if err := s.Render(&lazyOut, render.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if n := db.SectionReads()["overrides"]; n != 1 {
-		t.Fatalf("summary render decoded overrides %d times, want 1", n)
+	if n := checked(); n <= rawChecks || n >= total {
+		t.Fatalf("summary render checked %d column sections, want more than %d and fewer than %d", n, rawChecks, total)
 	}
 
 	se := newTestSession(eager.Tree, nil)
@@ -241,36 +244,31 @@ func TestColumnFaulterLazySession(t *testing.T) {
 	}
 }
 
-// TestReplLazyDrivesFaulting runs a scripted REPL session against a lazy
-// database: the default render shows every column (faulting the overrides
-// in), but a session restricted to raw columns never touches them.
+// TestReplLazyDrivesFaulting runs a scripted REPL session against an
+// opened legacy database: a session restricted to one raw column checks
+// only that column's sections, and the default all-column render checks
+// every column section exactly once.
 func TestReplLazyDrivesFaulting(t *testing.T) {
-	e := mergedFixture(t)
-	var buf bytes.Buffer
-	if err := e.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	db, err := expdb.OpenLazy(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newTestSession(db.Experiment().Tree, nil)
-	s.SetColumnFaulter(db.NeedColumn)
+	snap := openedSnapshot(t, fixtureBytes(t))
+	s := NewSession(snap)
+	defer s.Close()
+	snap.Close()
+	checked := func() int { return snap.mdb.SectionReads()["column"] }
+	total := columnSections(snap)
 	for _, line := range []string{"cols CYCLES", "ls", "expandall", "sort CYCLES", "hot CYCLES"} {
 		if _, err := Exec(s, line, io.Discard); err != nil {
 			t.Fatalf("%q: %v", line, err)
 		}
 	}
-	if n := db.SectionReads()["overrides"]; n != 0 {
-		t.Fatalf("raw-only REPL session decoded overrides %d times", n)
+	if n := checked(); n == 0 || n >= total {
+		t.Fatalf("raw-only REPL session checked %d of %d column sections", n, total)
 	}
-	if _, err := Exec(s, "cols all", io.Discard); err != nil {
-		t.Fatal(err)
+	for _, line := range []string{"cols all", "ls", "ls"} {
+		if _, err := Exec(s, line, io.Discard); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := Exec(s, "ls", io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	if n := db.SectionReads()["overrides"]; n != 1 {
-		t.Fatalf("full-column render decoded overrides %d times, want 1", n)
+	if n := checked(); n != total {
+		t.Fatalf("full-column render checked %d column sections, want all %d once", n, total)
 	}
 }

@@ -3,11 +3,11 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/expdb"
 )
 
 // commandStreams returns n deterministic interaction scripts covering the
@@ -48,9 +48,8 @@ func replay(s *Session, stream []string) string {
 	return out.String()
 }
 
-// fixtureBytes serializes the merged multi-rank experiment (its summary
-// columns live in the v2 overrides section, so lazy opens exercise
-// fault-in).
+// fixtureBytes serializes the merged multi-rank experiment as a legacy v2
+// database, so snapshots over it exercise the import arm of Open.
 func fixtureBytes(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -60,13 +59,19 @@ func fixtureBytes(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-func lazySnapshot(t *testing.T, data []byte) *Snapshot {
+// openedSnapshot writes data to a file and opens it with Open; the
+// snapshot's columns are checksummed on first touch.
+func openedSnapshot(t *testing.T, data []byte) *Snapshot {
 	t.Helper()
-	db, err := expdb.OpenLazy(bytes.NewReader(data))
+	path := filepath.Join(t.TempDir(), "experiment.db")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sn, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewLazySnapshot(db)
+	return sn
 }
 
 // isolatedReplays replays each stream in full isolation: a fresh database
@@ -76,7 +81,7 @@ func isolatedReplays(t *testing.T, data []byte, streams [][]string) []string {
 	t.Helper()
 	want := make([]string, len(streams))
 	for i, stream := range streams {
-		s := NewSession(lazySnapshot(t, data))
+		s := NewSession(openedSnapshot(t, data))
 		want[i] = replay(s, stream)
 		s.Close()
 	}
@@ -86,11 +91,11 @@ func isolatedReplays(t *testing.T, data []byte, streams [][]string) []string {
 // TestConcurrentSessionEquivalence is the engine's core guarantee, and the
 // PR's acceptance gate: 32 sessions hammering ONE shared snapshot
 // concurrently — mixed view switches, sorts, session-private derived
-// formulas, hot paths, lazy column fault-in — each produce renders
+// formulas, hot paths, first-touch column checks — each produce renders
 // byte-identical to the same command stream replayed in isolation (its own
 // database open, its own snapshot, no sharing). Run under -race this also
 // serves as the shared-state hazard hammer: any unsynchronized mutation of
-// the shared tree, store, registry or lazy database is a detector hit.
+// the shared tree, store, registry or opened database is a detector hit.
 func TestConcurrentSessionEquivalence(t *testing.T) {
 	data := fixtureBytes(t)
 	const sessions = 32
@@ -104,7 +109,7 @@ func TestConcurrentSessionEquivalence(t *testing.T) {
 		}
 	}
 
-	shared := lazySnapshot(t, data)
+	shared := openedSnapshot(t, data)
 	got := make([]string, sessions)
 	var wg sync.WaitGroup
 	for i := 0; i < sessions; i++ {
@@ -127,7 +132,7 @@ func TestConcurrentSessionEquivalence(t *testing.T) {
 }
 
 // TestConcurrentSessionsRepeatedRounds re-runs sessions over an
-// already-warm snapshot (every lazy column faulted, generation settled):
+// already-warm snapshot (every column checked, generation settled):
 // later joiners must see exactly what the first wave saw.
 func TestConcurrentSessionsRepeatedRounds(t *testing.T) {
 	data := fixtureBytes(t)
@@ -135,7 +140,7 @@ func TestConcurrentSessionsRepeatedRounds(t *testing.T) {
 	streams := commandStreams(sessions)
 	want := isolatedReplays(t, data, streams)
 
-	shared := lazySnapshot(t, data)
+	shared := openedSnapshot(t, data)
 	for round := 0; round < 3; round++ {
 		got := make([]string, sessions)
 		var wg sync.WaitGroup
@@ -163,10 +168,10 @@ func TestConcurrentSessionsRepeatedRounds(t *testing.T) {
 // session-local event.
 func TestClosedSessionDoesNotPoisonSnapshot(t *testing.T) {
 	data := fixtureBytes(t)
-	shared := lazySnapshot(t, data)
+	shared := openedSnapshot(t, data)
 
 	// Ground truth from a private snapshot.
-	clean := NewSession(lazySnapshot(t, data))
+	clean := NewSession(openedSnapshot(t, data))
 	defer clean.Close()
 	want := replay(clean, []string{"view callers", "expandall", "sort CYCLES", "ls"})
 
@@ -212,7 +217,7 @@ func TestClosedSessionDoesNotPoisonSnapshot(t *testing.T) {
 // other's values, and the shared registry never grows.
 func TestSessionDerivedIsolation(t *testing.T) {
 	data := fixtureBytes(t)
-	shared := lazySnapshot(t, data)
+	shared := openedSnapshot(t, data)
 	baseLen := shared.Tree().Reg.Len()
 
 	a := NewSession(shared)

@@ -274,15 +274,6 @@ func (s *Session) Unflatten() {
 // FlattenLevel reports the current flattening depth.
 func (s *Session) FlattenLevel() int { return s.flatten }
 
-// SetColumnFaulter rewires the snapshot's column faulter (see
-// Snapshot.SetColumnFaulter) and resets this session's fault bookkeeping.
-// Intended for single-session use right after opening.
-func (s *Session) SetColumnFaulter(f func(metricID int) error) {
-	s.snap.SetColumnFaulter(f)
-	s.requested = map[int]bool{}
-	s.faultErr = nil
-}
-
 // --- fault phase -----------------------------------------------------
 
 // faultColumn offers one sealed column to the snapshot's faulter, once per

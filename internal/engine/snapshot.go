@@ -3,11 +3,11 @@
 // entangled:
 //
 //   - Snapshot: an opened experiment database — CCT, metric store, registry
-//     — sealed immutable after load. The only post-seal mutation, lazy
-//     fault-in of override-backed metric sections, runs behind the
-//     snapshot's write lock while every query holds the read lock, and each
-//     fault bumps a generation counter so session caches can never serve
-//     stale orders.
+//     — sealed immutable after load. The only post-seal mutation, first-
+//     touch checksum verification of mapped column sections (a damaged
+//     column is detached to zero), runs behind the snapshot's write lock
+//     while every query holds the read lock, and each fault bumps a
+//     generation counter so session caches can never serve stale orders.
 //
 //   - Session: one user's presentation state over a shared snapshot — view
 //     selection, expansion, zoom, flattening, sort, selection, highlights,
@@ -23,8 +23,6 @@ package engine
 
 import (
 	"fmt"
-	"io"
-	"os"
 	"sync"
 	"sync/atomic"
 
@@ -39,16 +37,15 @@ import (
 // Immutability discipline: the tree's structure, its metric store and its
 // registry are sealed at construction (presented metrics are computed and
 // derived kernels applied before the snapshot is handed out). The one
-// exception is lazy fault-in of override-backed columns from a lazily
-// opened database, which rewrites shared metric slabs; it runs under mu's
+// exception is first-touch column verification of a mapped database, which
+// may detach a damaged shared column; it runs under mu's
 // write lock, while every session query runs under the read lock, and each
 // first-time fault advances gen so sessions invalidate their memoized
 // orders, hot paths and overlay columns.
 type Snapshot struct {
 	tree *core.Tree
 	exp  *expdb.Experiment // nil for bare-tree snapshots
-	ldb  *expdb.LazyDB     // nil unless lazily opened
-	mdb  *expdb.MappedDB   // nil unless mapped (v3 zero-copy)
+	mdb  *expdb.MappedDB   // nil unless opened from a database file
 
 	// refs counts owners: the creator (released by Close) plus one per
 	// live Session. closer runs when the count hits zero — for mapped
@@ -95,17 +92,6 @@ func NewSnapshot(exp *expdb.Experiment) *Snapshot {
 	return sn
 }
 
-// NewLazySnapshot seals a lazily opened database: required sections are
-// resident, override-backed columns fault in through the database's
-// NeedColumn on first use — synchronized and generation-stamped by the
-// snapshot, so concurrent sessions may trigger the fault safely.
-func NewLazySnapshot(ldb *expdb.LazyDB) *Snapshot {
-	sn := &Snapshot{tree: ldb.Experiment().Tree, exp: ldb.Experiment(), ldb: ldb}
-	sn.faulter = ldb.NeedColumn
-	sn.seal()
-	return sn
-}
-
 // NewTreeSnapshot seals a bare computed tree (no database around it) — the
 // entry point for hand-built trees and tests.
 func NewTreeSnapshot(t *core.Tree) *Snapshot {
@@ -114,12 +100,13 @@ func NewTreeSnapshot(t *core.Tree) *Snapshot {
 	return sn
 }
 
-// NewMappedSnapshot seals a zero-copy mapped (v3) database. Metadata is
-// decoded here (a snapshot cannot present without the tree); column slabs
-// stay untouched in the mapping until sessions fault them, when the
-// database verifies each section's checksum exactly once. The snapshot
-// owns the mapping: it is unmapped when the last owner (creator + live
-// sessions) releases the snapshot.
+// NewMappedSnapshot seals a v3 database — a mapped file or an imported
+// legacy database's heap image (expdb.Open). Metadata is decoded here (a
+// snapshot cannot present without the tree); column slabs stay untouched
+// in the image until sessions fault them, when the database verifies each
+// section's checksum exactly once. The snapshot owns the database: it is
+// closed (unmapped) when the last owner (creator + live sessions)
+// releases the snapshot.
 func NewMappedSnapshot(mdb *expdb.MappedDB) (*Snapshot, error) {
 	exp, err := mdb.Experiment()
 	if err != nil {
@@ -132,51 +119,19 @@ func NewMappedSnapshot(mdb *expdb.MappedDB) (*Snapshot, error) {
 	return sn, nil
 }
 
-// Open opens an experiment database file and seals it as a snapshot. v3
-// databases are mapped zero-copy (O(index) at the storage layer, metadata
-// decoded here); other formats open lazily.
+// Open opens an experiment database file of any format (expdb.Open: v3 is
+// mapped, v1/v2/XML are imported into a v3 heap image) and seals it.
 func Open(path string) (*Snapshot, error) {
-	f, err := os.Open(path)
+	mdb, err := expdb.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	var head [len(expdb.MagicV3)]byte
-	n, _ := io.ReadFull(f, head[:])
-	if string(head[:n]) == expdb.MagicV3 {
-		f.Close()
-		mdb, err := expdb.OpenMapped(path)
-		if err != nil {
-			return nil, err
-		}
-		sn, err := NewMappedSnapshot(mdb)
-		if err != nil {
-			mdb.Close()
-			return nil, fmt.Errorf("reading %s: %w", path, err)
-		}
-		return sn, nil
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	// OpenLazy consumes the whole stream (the CRC scan), retaining section
-	// payloads in memory, so the file handle can close immediately.
-	ldb, err := expdb.OpenLazy(f)
-	f.Close()
+	sn, err := NewMappedSnapshot(mdb)
 	if err != nil {
+		mdb.Close()
 		return nil, fmt.Errorf("reading %s: %w", path, err)
 	}
-	return NewLazySnapshot(ldb), nil
-}
-
-// OpenReader opens a database from a stream (sniffing XML/v1/v2 like
-// expdb.OpenLazy) and seals it.
-func OpenReader(r io.Reader) (*Snapshot, error) {
-	ldb, err := expdb.OpenLazy(r)
-	if err != nil {
-		return nil, err
-	}
-	return NewLazySnapshot(ldb), nil
+	return sn, nil
 }
 
 // seal freezes the snapshot: presented metrics are computed (a no-op for
@@ -263,8 +218,9 @@ func (sn *Snapshot) Notes() []string {
 	return append([]string(nil), sn.exp.Notes...)
 }
 
-// MappedBytes returns the raw bytes of a mapped (v3) database for
-// residency probing, nil for any other snapshot. Read-only.
+// MappedBytes returns the database image (the mapped file, or an imported
+// database's heap image) for sizing and residency probing; nil for
+// snapshots not opened from a file. Read-only.
 func (sn *Snapshot) MappedBytes() []byte {
 	if sn.mdb == nil {
 		return nil
@@ -275,8 +231,9 @@ func (sn *Snapshot) MappedBytes() []byte {
 // Mapped reports whether the snapshot is backed by a true memory mapping.
 func (sn *Snapshot) Mapped() bool { return sn.mdb != nil && sn.mdb.Mapped() }
 
-// SectionSpans returns the mapped database's sections as named byte
-// spans (nil for eager snapshots), for per-kind residency probes.
+// SectionSpans returns the database image's sections as named byte spans
+// (nil for snapshots not opened from a file), for per-kind residency
+// probes.
 func (sn *Snapshot) SectionSpans() []expdb.SectionSpan {
 	if sn.mdb == nil {
 		return nil
@@ -287,12 +244,7 @@ func (sn *Snapshot) SectionSpans() []expdb.SectionSpan {
 // Provenance faults in and returns the database's quarantine report (nil
 // when absent).
 func (sn *Snapshot) Provenance() (*ingest.Report, error) {
-	if sn.mdb != nil {
-		sn.mu.Lock()
-		defer sn.mu.Unlock()
-		return sn.mdb.Provenance()
-	}
-	if sn.ldb == nil {
+	if sn.mdb == nil {
 		if sn.exp == nil {
 			return nil, nil
 		}
@@ -300,12 +252,13 @@ func (sn *Snapshot) Provenance() (*ingest.Report, error) {
 	}
 	sn.mu.Lock()
 	defer sn.mu.Unlock()
-	return sn.ldb.Provenance()
+	return sn.mdb.Provenance()
 }
 
 // Trace returns the snapshot's trace view (time-dimension data), building
-// and checksum-verifying it on first call. Only mapped (v3) snapshots
-// carry traces; others return (nil, nil). The view is immutable and safe
+// and checksum-verifying it on first call. Only snapshots opened from a
+// v3 file with trace sections carry traces; others return an empty view
+// or (nil, nil). The view is immutable and safe
 // for concurrent renders; the snapshot's refcount keeps its mapping alive,
 // so callers must hold a reference (sessions do) for as long as they use
 // the view. Damage degrades into Notes, never an error here.
@@ -322,25 +275,12 @@ func (sn *Snapshot) Trace() (*expdb.TraceView, error) {
 }
 
 // NodeAt resolves a trace call-path id (structural tree row) to its node;
-// nil for non-mapped snapshots or out-of-range rows.
+// nil for snapshots not opened from a file or out-of-range rows.
 func (sn *Snapshot) NodeAt(row int) *core.Node {
 	if sn.mdb == nil {
 		return nil
 	}
 	return sn.mdb.NodeAt(row)
-}
-
-// SetColumnFaulter replaces the snapshot's column faulter and forgets which
-// columns have faulted. Sessions created before the call keep their own
-// fault bookkeeping; this is intended for wiring a custom loader (or a
-// note-flushing wrapper) right after construction, before sessions exist.
-func (sn *Snapshot) SetColumnFaulter(f func(metricID int) error) {
-	sn.mu.Lock()
-	defer sn.mu.Unlock()
-	sn.faulter = f
-	sn.faulted = map[int]error{}
-	sn.allFaulted = false
-	sn.lazyFlag.Store(f != nil)
 }
 
 // needColumn runs the column faulter exactly once per column across every

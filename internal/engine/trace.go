@@ -39,7 +39,7 @@ func (s *Session) RenderTrace(out io.Writer, t0, t1 uint64, w, h int) error {
 		return err
 	}
 	if tv == nil || len(tv.TraceRanks()) == 0 {
-		return fmt.Errorf("no trace data in this database (capture with hpcrun -trace, merge with hpcprof -traces -format v3)")
+		return fmt.Errorf("no trace data in this database (capture with hpcrun -trace, merge with hpcprof -traces)")
 	}
 	g, err := trace.View(tv, t0, t1, nil, w, h)
 	if err != nil {

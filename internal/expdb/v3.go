@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"sync"
 	"unsafe"
 
@@ -48,14 +49,10 @@ import (
 // slab index in the file equals the store row the reader's arena assigns.
 // All-zero columns are omitted; zeros are written as +0 bits (the store
 // never holds -0), keeping mapped reads bitwise equal to a v2 decode.
-// MagicV3 is the sniffable prefix of the mappable v3 format, exported so
-// callers can decide between a stream open and OpenMapped.
-const MagicV3 = dbMagicV3
 
 const (
-	dbMagicV3     = "CPDB3"
 	dbMagicV3Full = "CPDB3\x00\x00\x00"
-	dbMagicV3End  = "CPDB3IDX"
+	v3IndexTag    = "CPDB3IDX" // closes the trailer; not a format magic
 )
 
 // dbSecColumn is the v3-only section kind holding one dense column slab.
@@ -238,7 +235,7 @@ func (e *Experiment) WriteBinaryV3(w io.Writer) error {
 	binary.LittleEndian.PutUint64(tr[0:], uint64(indexOff))
 	binary.LittleEndian.PutUint64(tr[8:], uint64(len(entries)))
 	binary.LittleEndian.PutUint32(tr[16:], framing.Checksum(idx))
-	copy(tr[24:], dbMagicV3End)
+	copy(tr[24:], v3IndexTag)
 	if _, err := bw.Write(tr[:]); err != nil {
 		return err
 	}
@@ -290,11 +287,11 @@ func parseV3Index(data []byte) ([]v3sec, error) {
 	if size < int64(len(dbMagicV3Full))+v3TrailerSize {
 		return nil, fmt.Errorf("expdb: v3 database truncated (%d bytes)", size)
 	}
-	if string(data[:len(dbMagicV3Full)]) != dbMagicV3Full {
+	if sniff(data) != formatV3 {
 		return nil, fmt.Errorf("expdb: bad v3 magic %q", data[:len(dbMagicV3Full)])
 	}
 	tr := data[size-v3TrailerSize:]
-	if string(tr[24:32]) != dbMagicV3End {
+	if string(tr[24:32]) != v3IndexTag {
 		return nil, fmt.Errorf("expdb: v3 trailer magic missing (file truncated or corrupt)")
 	}
 	if binary.LittleEndian.Uint32(tr[20:24]) != 0 {
@@ -425,13 +422,17 @@ func parseV3Index(data []byte) ([]v3sec, error) {
 // borrowed columns. Open cost is O(index); metadata decodes on the first
 // Experiment call; each column section's checksum is verified exactly once,
 // on first touch (NeedColumn), with damage degrading to a zeroed column
-// plus an Experiment.Notes entry — mirroring the v2 lazy contract.
+// plus an Experiment.Notes entry.
 //
 // The mapping is strictly read-only. Writers that would touch a mapped
 // column (a diff Recompute, a summary rewrite) hit the store's
 // copy-on-write and scribble a private heap copy instead. Close unmaps;
 // the caller must guarantee no views into the mapping are dereferenced
 // afterwards (the engine refcounts sessions for exactly this).
+//
+// An imported legacy database (see Open) is the same structure over a
+// heap image instead of a mapping: Mapped reports false and Close is a
+// no-op.
 type MappedDB struct {
 	mu     sync.Mutex
 	region *mmapio.Region // nil when backed by caller-provided bytes
@@ -476,6 +477,57 @@ func OpenMapped(path string) (*MappedDB, error) {
 	return db, nil
 }
 
+// Open opens a database file of any format as a MappedDB — the one open
+// path behind engine.Open and catalog validation. A v3 file is mapped
+// (OpenMapped). A v1, v2 or XML file is imported: decoded once by Read,
+// re-encoded as v3 into a heap image and served from that image, so every
+// open database is index-addressable the same way. The legacy decode's
+// degradation notes (v3 does not persist them) carry over to the imported
+// experiment.
+func Open(path string) (*MappedDB, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	var head [len(dbMagicV3Full)]byte
+	n, _ := io.ReadFull(f, head[:])
+	if sniff(head[:n]) == formatV3 {
+		return OpenMapped(path)
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return nil, err
+	}
+	db, err := importLegacy(f)
+	if err != nil {
+		return nil, fmt.Errorf("reading %s: %w", path, err)
+	}
+	return db, nil
+}
+
+// importLegacy decodes a v1, v2 or XML database and re-encodes it as a v3
+// heap image.
+func importLegacy(r io.Reader) (*MappedDB, error) {
+	legacy, err := Read(r)
+	if err != nil {
+		return nil, err
+	}
+	var img bytes.Buffer
+	if err := legacy.WriteBinaryV3(&img); err != nil {
+		return nil, err
+	}
+	db, err := newMappedDB(img.Bytes())
+	if err != nil {
+		return nil, err
+	}
+	exp, err := db.Experiment()
+	if err != nil {
+		return nil, err
+	}
+	exp.Notes = append(exp.Notes, legacy.Notes...)
+	return db, nil
+}
+
 func newMappedDB(data []byte) (*MappedDB, error) {
 	secs, err := parseV3Index(data)
 	if err != nil {
@@ -515,7 +567,8 @@ func (db *MappedDB) findSec(kind byte) (v3sec, bool) {
 // Mapped reports whether the database is backed by a true memory mapping.
 func (db *MappedDB) Mapped() bool { return db.region != nil && db.region.Mapped() }
 
-// MappedBytes exposes the raw mapped file bytes for residency probing
+// MappedBytes exposes the database image — the mapped file, or the heap
+// image of an imported legacy database — for sizing and residency probing
 // (diag.Residency). Read-only.
 func (db *MappedDB) MappedBytes() []byte { return db.data }
 
@@ -728,7 +781,7 @@ func (db *MappedDB) verifyColLocked(si int) {
 }
 
 // Provenance decodes the provenance section on first call (nil when absent
-// or dropped after checksum damage, mirroring the v2 lazy contract).
+// or dropped after checksum damage).
 func (db *MappedDB) Provenance() (*ingest.Report, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -768,10 +821,9 @@ func (db *MappedDB) loadProvenanceLocked() error {
 }
 
 // VerifyAll checks every section checksum and decodes all lazily deferred
-// state — the mapped equivalent of LazyDB.MaterializeAll, used before
-// handing the experiment to consumers that will not fault columns
-// themselves. Column damage still degrades (notes), so the returned error
-// reflects only fatal metadata problems.
+// state, for consumers that will not fault columns themselves. Column
+// damage still degrades (notes), so the returned error reflects only fatal
+// metadata problems.
 func (db *MappedDB) VerifyAll() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -788,9 +840,9 @@ func (db *MappedDB) VerifyAll() error {
 
 // --- eager reader ----------------------------------------------------
 
-// readBinaryV3 is the stream (non-mapped) v3 decode used by Read,
-// ReadBinary and OpenLazy: the whole input is buffered, every checksum is
-// verified up front, and the experiment is returned fully materialized.
+// readBinaryV3 is the stream (non-mapped) v3 decode used by Read and
+// ReadBinary: the whole input is buffered, every checksum is verified up
+// front, and the experiment is returned fully materialized.
 // Column slabs still alias the read buffer (adopted copy-on-write), which
 // is safe heap memory here — no mapping lifetime to manage.
 func readBinaryV3(br *bufio.Reader) (*Experiment, error) {

@@ -69,12 +69,17 @@ func TestBinaryV3RoundTrip(t *testing.T) {
 	}
 	equalExperiments(t, e, got)
 
-	// And so does OpenLazy (eager fallback for streams).
-	db, err := OpenLazy(bytes.NewReader(data))
+	// And Open maps it.
+	db, err := Open(v3File(t, data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	equalExperiments(t, e, db.Experiment())
+	defer db.Close()
+	mexp, err := db.Experiment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalExperiments(t, e, mexp)
 }
 
 // TestV3RewriteToV2Identical locks the v3 columns to bitwise fidelity: a

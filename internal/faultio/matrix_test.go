@@ -75,39 +75,14 @@ func decodeDB(data []byte) (bool, error) {
 	return len(e.Notes) > 0, nil
 }
 
-// decodeLazyDB opens the database lazily and then touches every
-// lazily-skipped section the way a viewer session eventually would: fault
-// each metric column in, read the provenance record, and materialize the
-// rest. Damage to a skipped section must surface at these accesses as the
-// same typed errors or degradation notes an eager open reports — never a
-// panic.
-func decodeLazyDB(data []byte) (bool, error) {
-	db, err := expdb.OpenLazy(bytes.NewReader(data))
-	if err != nil {
-		return false, err
-	}
-	e := db.Experiment()
-	for _, d := range e.Tree.Reg.Columns() {
-		if err := db.NeedColumn(d.ID); err != nil {
-			return len(e.Notes) > 0, err
-		}
-	}
-	if _, err := db.Provenance(); err != nil {
-		return len(e.Notes) > 0, err
-	}
-	if err := db.MaterializeAll(); err != nil {
-		return len(e.Notes) > 0, err
-	}
-	return len(e.Notes) > 0, nil
-}
-
-// decodeMappedDB stages the bytes as a file and opens them through the
-// zero-copy mapped path, then touches everything a viewer eventually
-// would: metadata, every column's checksum pass, provenance. The v3
-// contract matches v2-lazy: metadata damage is a typed error, column and
-// provenance damage degrade with notes, and nothing ever faults the
-// process (all index ranges are validated before the mapping is trusted).
-func decodeMappedDB(data []byte) (bool, error) {
+// decodeOpenedDB stages the bytes as a file and opens them through
+// expdb.Open — mapped for v3, imported into a v3 heap image for v2 — then
+// touches everything a viewer eventually would: metadata, every column's
+// checksum pass, provenance, traces. Metadata damage is a typed error,
+// column and provenance damage degrade with notes, and nothing ever faults
+// the process (all index ranges are validated before the image is
+// trusted).
+func decodeOpenedDB(data []byte) (bool, error) {
 	dir, err := os.MkdirTemp("", "faultv3")
 	if err != nil {
 		return false, err
@@ -117,7 +92,7 @@ func decodeMappedDB(data []byte) (bool, error) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return false, err
 	}
-	db, err := expdb.OpenMapped(path)
+	db, err := expdb.Open(path)
 	if err != nil {
 		return false, err
 	}
@@ -213,10 +188,12 @@ func buildArtifacts(t *testing.T, name string) []artifact {
 		enc("profile-v2", func(b *bytes.Buffer) error { return p.Write(b) }, decodeTracedProfile, true),
 		enc("profile-v1", func(b *bytes.Buffer) error { return p.WriteV1(b) }, decodeProfile, false),
 		enc("expdb-v2", func(b *bytes.Buffer) error { return exp.WriteBinary(b) }, decodeDB, true),
-		enc("expdb-v2-lazy", func(b *bytes.Buffer) error { return exp.WriteBinary(b) }, decodeLazyDB, true),
+		// The v2 file as the open path serves it: imported, then its
+		// columns checked on first touch.
+		enc("expdb-v2-lazy", func(b *bytes.Buffer) error { return exp.WriteBinary(b) }, decodeOpenedDB, true),
 		enc("expdb-v1", func(b *bytes.Buffer) error { return exp.WriteBinaryV1(b) }, decodeDB, false),
 		enc("expdb-v3", func(b *bytes.Buffer) error { return exp.WriteBinaryV3(b) }, decodeDB, true),
-		enc("expdb-v3-mapped", func(b *bytes.Buffer) error { return exp.WriteBinaryV3(b) }, decodeMappedDB, true),
+		enc("expdb-v3-mapped", func(b *bytes.Buffer) error { return exp.WriteBinaryV3(b) }, decodeOpenedDB, true),
 	}
 }
 

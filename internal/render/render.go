@@ -131,7 +131,7 @@ const (
 )
 
 // Row is one visible line of a view: a scope at a display depth. The
-// interactive session (internal/viewer) computes visibility itself —
+// interactive session (internal/engine) computes visibility itself —
 // expansion state, zooming, flattening — and hands rows here for
 // formatting.
 type Row struct {

@@ -20,7 +20,7 @@ import (
 // session — typed 500, token gone, counted — while the process and every
 // other session keep serving.
 func TestChaosPanicIsolation(t *testing.T) {
-	srv := New(lazySnapshot(t, fixtureBytes(t)), nil, 1)
+	srv := New(openedSnapshot(t, fixtureBytes(t)), nil, 1)
 	defer srv.Close()
 	srv.testExecHook = func(line string) {
 		if strings.Contains(line, "BOOM") {
@@ -65,7 +65,7 @@ func TestChaosPanicIsolation(t *testing.T) {
 // moves. The stuck goroutine drains into the buffered result channel.
 func TestChaosDeadlineKillsSession(t *testing.T) {
 	gate := make(chan struct{})
-	srv := NewWithConfig(lazySnapshot(t, fixtureBytes(t)), Config{Jobs: 1, ExecTimeout: 50 * time.Millisecond})
+	srv := NewWithConfig(openedSnapshot(t, fixtureBytes(t)), Config{Jobs: 1, ExecTimeout: 50 * time.Millisecond})
 	defer srv.Close()
 	srv.testExecHook = func(line string) {
 		if strings.Contains(line, "STALL") {
@@ -108,7 +108,7 @@ func TestChaosDeadlineKillsSession(t *testing.T) {
 func TestChaosAdmissionFlood(t *testing.T) {
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 1)
-	srv := NewWithConfig(lazySnapshot(t, fixtureBytes(t)), Config{
+	srv := NewWithConfig(openedSnapshot(t, fixtureBytes(t)), Config{
 		Jobs:         1,
 		MaxInflight:  1,
 		MaxQueue:     2,
@@ -213,7 +213,7 @@ func TestChaosAdmissionFlood(t *testing.T) {
 func TestChaosDeadlineNeverUnmapsUnderReader(t *testing.T) {
 	gate := make(chan struct{})
 	stalled := make(chan struct{})
-	snap := lazySnapshot(t, fixtureBytes(t))
+	snap := openedSnapshot(t, fixtureBytes(t))
 	unmapped := make(chan struct{})
 	snap.OnLastRelease(func() { close(unmapped) })
 
@@ -264,7 +264,7 @@ func TestChaosDeadlineNeverUnmapsUnderReader(t *testing.T) {
 func TestChaosPanicReleasesQueuedRequest(t *testing.T) {
 	gate := make(chan struct{})
 	entered := make(chan struct{})
-	srv := NewWithConfig(lazySnapshot(t, fixtureBytes(t)), Config{Jobs: 1, ExecTimeout: 10 * time.Second})
+	srv := NewWithConfig(openedSnapshot(t, fixtureBytes(t)), Config{Jobs: 1, ExecTimeout: 10 * time.Second})
 	defer srv.Close()
 	srv.testExecHook = func(line string) {
 		if strings.Contains(line, "BOOM") {

@@ -19,7 +19,7 @@ import (
 )
 
 // fixtureAt serializes the toy workload merged at the given rank count, so
-// compare tests get a genuine weak-scaling pair of lazily opened databases.
+// compare tests get a genuine weak-scaling pair of opened databases.
 func fixtureAt(t *testing.T, ranks int) []byte {
 	t.Helper()
 	spec, err := workloads.ByName("toy")
@@ -69,12 +69,12 @@ func postJSON(t *testing.T, hc *http.Client, url string, body any) (int, []byte)
 }
 
 func TestCompareEndpoint(t *testing.T) {
-	srv := New(lazySnapshot(t, fixtureAt(t, 2)), nil, 1)
+	srv := New(openedSnapshot(t, fixtureAt(t, 2)), nil, 1)
 	defer srv.Close()
-	if err := srv.AddSnapshot("big", lazySnapshot(t, fixtureAt(t, 6))); err != nil {
+	if err := srv.AddSnapshot("big", openedSnapshot(t, fixtureAt(t, 6))); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.AddSnapshot("big", lazySnapshot(t, fixtureAt(t, 6))); err == nil {
+	if err := srv.AddSnapshot("big", openedSnapshot(t, fixtureAt(t, 6))); err == nil {
 		t.Fatal("duplicate catalog name did not error")
 	}
 	if err := srv.AddSnapshot("bad name", nil); err == nil {
@@ -151,9 +151,9 @@ func TestCompareEndpoint(t *testing.T) {
 // HTTP session surface: the catalog attached to server sessions is the
 // same one the compare endpoint reads.
 func TestSessionDiffOverHTTP(t *testing.T) {
-	srv := New(lazySnapshot(t, fixtureAt(t, 2)), nil, 1)
+	srv := New(openedSnapshot(t, fixtureAt(t, 2)), nil, 1)
 	defer srv.Close()
-	if err := srv.AddSnapshot("big", lazySnapshot(t, fixtureAt(t, 6))); err != nil {
+	if err := srv.AddSnapshot("big", openedSnapshot(t, fixtureAt(t, 6))); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())

@@ -28,12 +28,12 @@ func getReport(t *testing.T, base, query string) (int, []byte) {
 // and over named catalog entries, including the baseline diff.
 func TestReportEndpoint(t *testing.T) {
 	data := fixtureBytes(t)
-	srv := New(lazySnapshot(t, data), nil, 1)
+	srv := New(openedSnapshot(t, data), nil, 1)
 	defer srv.Close()
-	if err := srv.AddSnapshot("other", lazySnapshot(t, data)); err != nil {
+	if err := srv.AddSnapshot("other", openedSnapshot(t, data)); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.AddSnapshot("base", lazySnapshot(t, data)); err != nil {
+	if err := srv.AddSnapshot("base", openedSnapshot(t, data)); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
@@ -116,7 +116,7 @@ func TestReportEndpoint(t *testing.T) {
 func TestReportEndpointNoDefault(t *testing.T) {
 	srv := NewWithConfig(nil, Config{Jobs: 1})
 	defer srv.Close()
-	if err := srv.AddSnapshot("only", lazySnapshot(t, fixtureBytes(t))); err != nil {
+	if err := srv.AddSnapshot("only", openedSnapshot(t, fixtureBytes(t))); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -21,9 +23,9 @@ import (
 	"repro/internal/workloads"
 )
 
-// fixtureBytes builds the merged multi-rank toy experiment (summary columns
-// in the v2 overrides section, so lazy opens exercise column fault-in) and
-// serializes it.
+// fixtureBytes builds the merged multi-rank toy experiment with summary
+// columns and serializes it as a legacy v2 database, so opened snapshots
+// exercise the import path and first-touch column checks.
 func fixtureBytes(t *testing.T) []byte {
 	t.Helper()
 	spec, err := workloads.ByName("toy")
@@ -60,13 +62,18 @@ func fixtureBytes(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-func lazySnapshot(t *testing.T, data []byte) *engine.Snapshot {
+// openedSnapshot writes data to a file and opens it with engine.Open.
+func openedSnapshot(t *testing.T, data []byte) *engine.Snapshot {
 	t.Helper()
-	db, err := expdb.OpenLazy(bytes.NewReader(data))
+	path := filepath.Join(t.TempDir(), "experiment.db")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := engine.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return engine.NewLazySnapshot(db)
+	return snap
 }
 
 type client struct {
@@ -138,7 +145,7 @@ func TestHTTPSessionEquivalence(t *testing.T) {
 	// Ground truth: isolated engine replays, one private snapshot each.
 	want := make([]string, len(streams))
 	for i, stream := range streams {
-		s := engine.NewSession(lazySnapshot(t, data))
+		s := engine.NewSession(openedSnapshot(t, data))
 		var out strings.Builder
 		for _, line := range stream {
 			resp := s.Do(engine.Request{Line: line})
@@ -154,7 +161,7 @@ func TestHTTPSessionEquivalence(t *testing.T) {
 		}
 	}
 
-	srv := New(lazySnapshot(t, data), nil, 1)
+	srv := New(openedSnapshot(t, data), nil, 1)
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -192,7 +199,7 @@ func TestHTTPSessionEquivalence(t *testing.T) {
 // delete, 404s for unknown tokens, quit closing server-side, and Close
 // refusing new sessions.
 func TestSessionLifecycle(t *testing.T) {
-	srv := New(lazySnapshot(t, fixtureBytes(t)), nil, 1)
+	srv := New(openedSnapshot(t, fixtureBytes(t)), nil, 1)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	c := &client{t: t, base: ts.URL, hc: ts.Client()}

@@ -90,7 +90,7 @@ func (srv *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	if tv == nil || len(tv.TraceRanks()) == 0 {
 		writeError(w, http.StatusNotFound, "no-trace-data",
-			"database has no trace sections (capture with hpcrun -trace, merge with hpcprof -traces -format v3)")
+			"database has no trace sections (capture with hpcrun -trace, merge with hpcprof -traces)")
 		return
 	}
 	g, err := trace.View(tv, t0, t1, nil, gw, gh)

@@ -67,16 +67,16 @@ func View(src Source, t0, t1 uint64, ranks []int, W, H int) (*Grid, error) {
 	}
 	if ranks == nil {
 		ranks = src.TraceRanks()
-	} else {
-		ranks = append([]int(nil), ranks...)
-		sort.Ints(ranks)
 	}
-	keep := ranks[:0]
+	// Filter into a fresh slice: neither the caller's ranks nor the
+	// source's (shared by concurrent renders) may be written.
+	keep := make([]int, 0, len(ranks))
 	for _, r := range ranks {
 		if _, ok := src.TraceMeta(r); ok {
 			keep = append(keep, r)
 		}
 	}
+	sort.Ints(keep)
 	ranks = keep
 	if len(ranks) == 0 {
 		return nil, fmt.Errorf("trace: no ranks with trace data")

@@ -15,13 +15,14 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/viewer"
+	"repro/internal/engine"
 )
 
 func TestSectionVIBAnalysisWorkflow(t *testing.T) {
 	tree := runSeq(t, MOAB())
 	l1 := col(t, tree, "L1_DCM")
-	s := viewer.New(tree, MOAB().Program)
+	s := engine.NewSession(engine.NewTreeSnapshot(tree))
+	s.SetSource(MOAB().Program)
 
 	// Step 1: Calling Context View, hot path on L1 misses. For MOAB no
 	// single calling context dominates the misses: the benchmark loop's
@@ -44,7 +45,7 @@ func TestSectionVIBAnalysisWorkflow(t *testing.T) {
 	// exclusive L1 misses: the inlined compare's host and the memset
 	// replacement surface near the top even though neither dominates any
 	// single calling context.
-	s.SwitchView(viewer.ViewCallers)
+	s.SwitchView(engine.ViewCallers)
 	rows := s.VisibleRows()
 	if len(rows) < 4 {
 		t.Fatalf("callers rows = %d", len(rows))
@@ -81,7 +82,7 @@ func TestSectionVIBAnalysisWorkflow(t *testing.T) {
 
 	// Step 3: the Flat View for the costly procedure: its loop and the
 	// inlined hierarchy below it (Figure 5's reading).
-	s.SwitchView(viewer.ViewFlat)
+	s.SwitchView(engine.ViewFlat)
 	var gc *core.Node
 	for _, r := range s.VisibleRows() {
 		core.Walk(r.Node, func(n *core.Node) bool {
