@@ -86,12 +86,16 @@ func run(args []string, stdout io.Writer) error {
 
 	inputs := make([]diff.Input, len(paths))
 	for i, path := range paths {
-		f, err := os.Open(path)
+		db, err := expdb.Open(path)
 		if err != nil {
 			return err
 		}
-		exp, err := expdb.Read(f)
-		f.Close()
+		// The inputs stay open until the diff and its report are done.
+		defer db.Close()
+		exp, err := db.Experiment()
+		if err == nil {
+			err = db.VerifyAll()
+		}
 		if err != nil {
 			return fmt.Errorf("reading %s: %w", path, err)
 		}

@@ -88,10 +88,13 @@ func run(args []string) (err error) {
 		return runInteractive(*db, derived, *workload, *structPath, *measDir, *jobs, *residency)
 	}
 
-	exp, err := readDB(*db)
+	exp, mdb, err := readDB(*db)
 	if err != nil {
 		return err
 	}
+	// Deferred before the output flush below, so it runs after it: column
+	// slabs may live in the mapping until rendering is done.
+	defer mdb.Close()
 	tree := exp.Tree
 
 	for _, d := range derived {
@@ -331,20 +334,23 @@ func repl(s *engine.Session, flushNotes func()) error {
 	return in.Err()
 }
 
-func readDB(path string) (*expdb.Experiment, error) {
-	f, err := os.Open(path)
+// readDB opens a database of any format (v3 mapped; v1, v2 and XML
+// imported) and verifies every section before rendering. The caller closes
+// the returned database once it is done with the experiment.
+func readDB(path string) (*expdb.Experiment, *expdb.MappedDB, error) {
+	db, err := expdb.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	defer f.Close()
-	// expdb.Read sniffs the magic, accepting binary v1, v2, v3 and XML.
-	// The raw file is passed (not a buffered wrapper) so the reader can
-	// bound allocations by the file's actual size.
-	exp, err := expdb.Read(f)
+	exp, err := db.Experiment()
+	if err == nil {
+		err = db.VerifyAll()
+	}
 	if err != nil {
-		return nil, fmt.Errorf("reading %s: %w", path, err)
+		db.Close()
+		return nil, nil, fmt.Errorf("reading %s: %w", path, err)
 	}
-	// A v2 database can open degraded (a damaged optional section was
+	// A database can open degraded (a damaged optional section was
 	// dropped) and can carry merge provenance; tell the user on stderr so
 	// the rendered views are never silently incomplete.
 	for _, note := range exp.Notes {
@@ -353,5 +359,5 @@ func readDB(path string) (*expdb.Experiment, error) {
 	if exp.Provenance != nil && !exp.Provenance.Clean() {
 		fmt.Fprintf(os.Stderr, "hpcviewer: %s\n", exp.Provenance.Summary())
 	}
-	return exp, nil
+	return exp, db, nil
 }

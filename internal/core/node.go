@@ -124,6 +124,8 @@ type Node struct {
 	// childIndexThreshold; below that, the Children slice is scanned
 	// directly (most CCT scopes have a handful of children, and a map
 	// per scope was a large share of tree-construction allocations).
+	// Scopes appended by a PreorderBuilder (decoded trees) have none, so
+	// Child scans them whatever their fan-out.
 	index map[Key]*Node
 
 	// arena is the tree's node allocator; children of an arena-owned

@@ -188,6 +188,12 @@ func FuzzReadV3(f *testing.F) {
 		colFlip[len(colFlip)/2] ^= 0x55 // likely inside a column slab
 		f.Add(colFlip)
 	}
+	// Checksum-valid images whose tree repeats a sibling key, in a narrow
+	// and a wide child list: the mutations start inside the tree decoder
+	// rather than at a CRC.
+	base := hostileBase(f)
+	f.Add(v3WithTree(f, base, fanout(4, 3)))
+	f.Add(v3WithTree(f, base, fanout(40, 37)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadBinary(bytes.NewReader(data))
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"sync"
 	"unsafe"
@@ -712,9 +713,8 @@ func (db *MappedDB) decodeMeta() (*Experiment, []*core.Node, error) {
 		return nil, nil, crcErr("tree")
 	}
 	db.reads["tree"]++
-	pr, bound = reader(s)
 	e.Tree = core.NewTree(e.Program, reg)
-	nodes, err := readTreeSectionV3(pr, e, syms, bound)
+	nodes, err := readTreeSectionV3(db.payload(s), e.Tree, syms)
 	if err != nil {
 		return nil, nil, secErr("tree", err)
 	}
@@ -870,61 +870,136 @@ func readBinaryV3(br *bufio.Reader) (*Experiment, error) {
 	return exp, nil
 }
 
-// readTreeSectionV3 parses the v3 tree section: the v2 preorder node
-// stream minus the inline base-value lists (v3 stores values in column
-// slabs). Returned nodes are in preorder; their arena rows are 1..n.
-func readTreeSectionV3(br *bufio.Reader, e *Experiment, syms []intern.Sym, remaining func() int64) ([]*core.Node, error) {
-	getSym := func() (intern.Sym, error) {
-		i, err := getU(br)
-		if err != nil {
-			return 0, err
-		}
-		if i >= uint64(len(syms)) {
-			return 0, fmt.Errorf("expdb: string ref %d out of range", i)
-		}
-		return syms[i], nil
+// readTreeSectionV3 parses the v3 tree section payload in place: a root
+// count, then one record per node in preorder, each exactly 10 uvarints
+// (kind, name, file, line, id, call line, call file, module, flags, child
+// count) — the v2 node stream minus the inline base values, which v3 keeps
+// in column slabs. The node count follows from the payload length in
+// varints, so the decode is one pass with no lookups: nodes are appended
+// through core.PreorderBuilder, their arena rows are 1..n in preorder, and
+// repeated sibling keys are rejected rather than fused.
+func readTreeSectionV3(p []byte, t *core.Tree, syms []intern.Sym) ([]*core.Node, error) {
+	if len(p) == 0 || p[len(p)-1] >= 0x80 {
+		return nil, io.ErrUnexpectedEOF // the last varint is cut off
 	}
-	var nodes []*core.Node
-	var readNode func(parent *core.Node, depth int) error
-	readNode = func(parent *core.Node, depth int) error {
-		if depth > 100000 {
-			return fmt.Errorf("expdb: tree too deep")
-		}
-		n, err := readNodeHeader(br, parent, getSym)
-		if err != nil {
-			return err
-		}
-		nodes = append(nodes, n)
-		nc, err := getU(br)
-		if err != nil {
-			return err
-		}
-		if int64(nc) > remaining() {
-			return fmt.Errorf("expdb: implausible child count %d", nc)
-		}
-		for i := uint64(0); i < nc; i++ {
-			if err := readNode(n, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
+	nv := countUvarints(p)
+	if (nv-1)%v3TreeRecord != 0 {
+		return nil, fmt.Errorf("expdb: tree section holds %d varints, not a root count plus %d per node", nv, v3TreeRecord)
 	}
-	nRoots, err := getU(br)
-	if err != nil {
-		return nil, noEOF(err)
+	total := uint64(nv-1) / v3TreeRecord
+
+	c := uvarintCursor{b: p}
+	nRoots := c.next()
+	if c.err != nil {
+		return nil, c.err
 	}
-	if int64(nRoots) > remaining() {
+	if nRoots > total {
 		return nil, fmt.Errorf("expdb: implausible root count %d", nRoots)
 	}
-	for i := uint64(0); i < nRoots; i++ {
-		if err := readNode(e.Tree.Root, 0); err != nil {
+	b := t.Preorder()
+	b.Reserve(t.Root, int(nRoots))
+	nodes := make([]*core.Node, 0, total)
+	// pending counts declared children not yet read. Keeping it within the
+	// records left means the loop never runs out of payload, and the
+	// reservations never exceed the node count.
+	pending := nRoots
+	// stack holds the open scopes; the top is the parent of the next
+	// record until its reserved child slots are full.
+	stack := make([]*core.Node, 1, 64)
+	stack[0] = t.Root
+	for len(stack) > 0 {
+		parent := stack[len(stack)-1]
+		if len(parent.Children) == cap(parent.Children) {
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		if len(stack)-1 > 100000 {
+			return nil, fmt.Errorf("expdb: tree too deep")
+		}
+		// kind, name, file, line, id, call line, call file, module,
+		// flags, child count
+		var r [v3TreeRecord]uint64
+		for i := range r {
+			r[i] = c.next()
+		}
+		if c.err != nil {
+			return nil, c.err
+		}
+		if r[0] == uint64(core.KindRoot) || r[0] > uint64(core.KindCallSite) {
+			return nil, fmt.Errorf("expdb: bad node kind %d", r[0])
+		}
+		for _, i := range [...]int{1, 2, 6, 7} {
+			if r[i] >= uint64(len(syms)) {
+				return nil, fmt.Errorf("expdb: string ref %d out of range", r[i])
+			}
+		}
+		key := core.Key{Kind: core.Kind(r[0]), Name: syms[r[1]], File: syms[r[2]], Line: int(r[3]), ID: r[4]}
+		n, err := b.Append(parent, key)
+		if err != nil {
 			return nil, err
 		}
+		n.CallLine = int(r[5])
+		n.CallFile = syms[r[6]]
+		n.Mod = syms[r[7]]
+		n.NoSource = r[8]&1 != 0
+		nodes = append(nodes, n)
+		pending--
+		nc := r[9]
+		if nc > total-uint64(len(nodes))-pending {
+			return nil, fmt.Errorf("expdb: implausible child count %d", nc)
+		}
+		pending += nc
+		b.Reserve(n, int(nc))
+		if nc > 0 {
+			stack = append(stack, n)
+		}
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
+	if c.off != len(p) {
 		return nil, fmt.Errorf("expdb: trailing bytes in tree section")
 	}
 	return nodes, nil
+}
+
+// v3TreeRecord is the number of uvarints in one v3 tree node record.
+const v3TreeRecord = 10
+
+// uvarintCursor reads consecutive uvarints from a byte slice in place.
+// The first failure sticks in err; reads after it return zero.
+type uvarintCursor struct {
+	b   []byte
+	off int
+	err error
+}
+
+func (c *uvarintCursor) next() uint64 {
+	v, n := binary.Uvarint(c.b[c.off:])
+	if n <= 0 {
+		if c.err == nil {
+			c.err = io.ErrUnexpectedEOF
+			if n < 0 {
+				c.err = fmt.Errorf("expdb: varint overflows 64 bits")
+			}
+		}
+		c.off = len(c.b)
+		return 0
+	}
+	c.off += n
+	return v
+}
+
+// countUvarints returns how many uvarints end in b: its bytes without the
+// continuation bit, counted a word at a time.
+func countUvarints(b []byte) int {
+	n := 0
+	for ; len(b) >= 8; b = b[8:] {
+		n += 8 - bits.OnesCount64(binary.LittleEndian.Uint64(b)&0x8080808080808080)
+	}
+	for _, x := range b {
+		if x < 0x80 {
+			n++
+		}
+	}
+	return n
 }
 
 // hostLittleEndian reports whether float64 slabs can be viewed in place.

@@ -3,12 +3,14 @@ package faultio_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/diff"
 	"repro/internal/expdb"
 	"repro/internal/faultio"
@@ -345,6 +347,16 @@ func TestFaultMatrix(t *testing.T) {
 					}
 				})
 			}
+			// A checksum-valid v3 image whose tree repeats a sibling key
+			// passes every CRC; the tree decoder must reject it as a typed
+			// tree error instead of fusing the two scopes.
+			t.Run("expdb-v3/duplicate-siblings", func(t *testing.T) {
+				for _, a := range arts {
+					if a.name == "expdb-v3" || a.name == "expdb-v3-mapped" {
+						checkDuplicateSiblings(t, a)
+					}
+				}
+			})
 			// A quarantined (-keep-going) database must not diff silently:
 			// the comparison covers only its merged ranks, and the diff has
 			// to carry that caveat as a provenance note. The round trip
@@ -409,6 +421,50 @@ func TestFaultMatrix(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// checkDuplicateSiblings rewrites a's database so that one narrow and (when
+// the tree has one) one wide child list repeat their first child's key,
+// and requires each image to fail a's decoder with a tree SectionError.
+func checkDuplicateSiblings(t *testing.T, a artifact) {
+	t.Helper()
+	var narrow, wide *core.Node
+	probe, err := expdb.ReadBinary(bytes.NewReader(a.data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	core.Walk(probe.Tree.Root, func(n *core.Node) bool {
+		switch k := len(n.Children); {
+		case k >= 2 && k <= 8 && narrow == nil:
+			narrow = n
+		case k > 8 && wide == nil:
+			wide = n
+		}
+		return true
+	})
+	if narrow == nil {
+		t.Fatalf("%s: no scope with 2-8 children", a.name)
+	}
+	for _, parent := range []*core.Node{narrow, wide} {
+		if parent == nil {
+			continue
+		}
+		last := parent.Children[len(parent.Children)-1]
+		saved := last.Key
+		last.Key = parent.Children[0].Key
+		var buf bytes.Buffer
+		err := probe.WriteBinaryV3(&buf)
+		last.Key = saved
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = decodeSafely(t, a, buf.Bytes(), fmt.Sprintf("duplicate under %s", parent.Label()))
+		var se *expdb.SectionError
+		if !errors.As(err, &se) || se.Section != "tree" || !errors.Is(err, core.ErrDuplicateSibling) {
+			t.Errorf("%s: %d repeated children under %s: want a tree duplicate-sibling error, got %v",
+				a.name, len(parent.Children), parent.Label(), err)
+		}
 	}
 }
 

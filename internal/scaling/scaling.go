@@ -38,6 +38,11 @@ const (
 	Strong
 )
 
+// wideScope is the fan-out past which the matched walk looks a scope's
+// children up in a map rather than by scanning (core's child-index
+// threshold).
+const wideScope = 8
+
 func (m Mode) String() string {
 	if m == Strong {
 		return "strong"
@@ -131,7 +136,14 @@ func Analyze(small, big *core.Tree, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	// Matched walk: compute excess per scope.
+	// Matched walk: compute excess per scope. Decoded trees carry no child
+	// index, so sn.Child scans; past wideScope children the small tree's
+	// siblings go into one reused map instead. Each scope's matches are
+	// found before descending, so the map is free again for the children.
+	var (
+		sibs    = map[core.Key]*core.Node{}
+		matches []*core.Node // stack of per-level match lists
+	)
 	var walk func(bn, sn *core.Node)
 	walk = func(bn, sn *core.Node) {
 		if bn.Kind != core.KindRoot {
@@ -145,13 +157,33 @@ func Analyze(small, big *core.Tree, cfg Config) (*Result, error) {
 			bn.Incl.Set(col.ID, exIncl)
 			bn.Excl.Set(col.ID, exExcl)
 		}
+		base := len(matches)
+		wide := sn != nil && len(sn.Children) > wideScope
+		if wide {
+			for _, sc := range sn.Children {
+				sibs[sc.Key] = sc
+			}
+		}
 		for _, bc := range bn.Children {
 			var sc *core.Node
-			if sn != nil {
+			if wide {
+				sc = sibs[bc.Key]
+			} else if sn != nil {
 				sc = sn.Child(bc.Key, false)
 			}
-			walk(bc, sc)
+			matches = append(matches, sc)
 		}
+		if wide {
+			// Deleting costs the scope's fan-out; clear would cost the
+			// widest scope's seen so far.
+			for _, sc := range sn.Children {
+				delete(sibs, sc.Key)
+			}
+		}
+		for i, bc := range bn.Children {
+			walk(bc, matches[base+i])
+		}
+		matches = matches[:base]
 	}
 	walk(big.Root, small.Root)
 

@@ -1,10 +1,16 @@
 package scaling
 
 import (
+	"bytes"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/expdb"
 	"repro/internal/lower"
 	"repro/internal/merge"
 	"repro/internal/mpi"
@@ -228,5 +234,112 @@ func TestScopeOnlyInBigRun(t *testing.T) {
 	}
 	if ex := bs.Incl.Get(res.Column); ex != 0 {
 		t.Fatalf("matched stmt excess = %g, want 0", ex)
+	}
+}
+
+// wideTree builds a run whose scopes fan out past the child-index
+// threshold: main calls 24 procedures, each with 12 statements. Every
+// drop-th statement is left out, and costs scale with weight.
+func wideTree(t *testing.T, drop int, weight float64) *core.Tree {
+	t.Helper()
+	tr := core.NewTree("wide", nil)
+	if _, err := tr.Reg.AddRaw("CYCLES", "cycles", 1); err != nil {
+		t.Fatal(err)
+	}
+	main := tr.AddPath(core.Key{Kind: core.KindFrame, Name: core.Sym("main")})
+	for p := 0; p < 24; p++ {
+		fr := main.Child(core.Key{Kind: core.KindFrame, Name: core.Sym(fmt.Sprintf("proc%02d", p)), Line: p}, true)
+		for l := 1; l <= 12; l++ {
+			if (p*12+l)%drop == 0 {
+				continue
+			}
+			st := fr.Child(core.Key{Kind: core.KindStmt, File: core.Sym("w.c"), Line: l}, true)
+			st.Base.Add(0, weight*float64(p+l))
+		}
+	}
+	tr.ComputeMetrics()
+	return tr
+}
+
+// openV3 round-trips a tree through a v3 database file and returns the
+// tree of an engine snapshot over it, with every column verified.
+func openV3(t *testing.T, tr *core.Tree) *core.Tree {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := expdb.New(tr).WriteBinaryV3(&buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "run.db")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := engine.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { snap.Close() })
+	if err := snap.FaultAll(); err != nil {
+		t.Fatal(err)
+	}
+	return snap.Tree()
+}
+
+// TestAnalyzeOpenedDatabases pins Analyze over decoded trees — which carry
+// no child index — to Analyze over the in-memory trees they were written
+// from, scope by scope, for a real scaling run and for wide scopes.
+func TestAnalyzeOpenedDatabases(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		small, big func() *core.Tree
+		cfg        Config
+		// spot is a scope present in both runs, with its expected excess.
+		spot []string
+		want float64
+	}{
+		{"scaling run", func() *core.Tree { return runAt(t, 2) }, func() *core.Tree { return runAt(t, 8) },
+			Config{Mode: Weak, RanksSmall: 2, RanksBig: 8}, nil, 0},
+		// Strong scaling from 1 to 3 ranks: main/proc00/line 1 costs 3 in
+		// the big run and 1 in the small one, so its excess is 3/3 - 1/3.
+		{"wide scopes", func() *core.Tree { return wideTree(t, 5, 1) }, func() *core.Tree { return wideTree(t, 7, 3) },
+			Config{Mode: Strong, RanksSmall: 1, RanksBig: 3}, []string{"main", "proc00", "w.c: 1"}, 2.0 / 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			small, big := c.small(), c.big()
+			oSmall, oBig := openV3(t, small), openV3(t, big)
+			want, err := Analyze(small, big, c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Analyze(oSmall, oBig, c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *got != *want {
+				t.Fatalf("opened result %+v, in-memory %+v", *got, *want)
+			}
+			if c.spot != nil {
+				n := oBig.FindPath(c.spot...)
+				if n == nil {
+					t.Fatalf("%v missing", c.spot)
+				}
+				if ex := n.Incl.Get(got.Column); math.Abs(ex-c.want) > 1e-12 {
+					t.Fatalf("%v: excess %g, want %g", c.spot, ex, c.want)
+				}
+			}
+			var wantRows, gotRows []*core.Node
+			core.Walk(big.Root, func(n *core.Node) bool { wantRows = append(wantRows, n); return true })
+			core.Walk(oBig.Root, func(n *core.Node) bool { gotRows = append(gotRows, n); return true })
+			if len(gotRows) != len(wantRows) {
+				t.Fatalf("opened tree has %d scopes, in-memory %d", len(gotRows), len(wantRows))
+			}
+			for i, w := range wantRows {
+				g := gotRows[i]
+				if g.Key != w.Key || g.Incl.Get(got.Column) != w.Incl.Get(want.Column) ||
+					g.Excl.Get(got.Column) != w.Excl.Get(want.Column) {
+					t.Fatalf("scope %d (%s): opened excess %g/%g, in-memory %g/%g", i, w.Label(),
+						g.Incl.Get(got.Column), g.Excl.Get(got.Column), w.Incl.Get(want.Column), w.Excl.Get(want.Column))
+				}
+			}
+		})
 	}
 }
