@@ -35,10 +35,16 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Static analysis beyond vet. Both tools run in CI unconditionally; locally
-# each is skipped (with a note) when not on PATH — the container image does
-# not bake them in and the build must not fetch dependencies.
+# Formatting and static analysis beyond vet. gofmt ships with the
+# toolchain, so the formatting check always runs and fails on any file it
+# would rewrite. staticcheck and govulncheck run in CI unconditionally;
+# locally each is skipped (with a note) when not on PATH — the container
+# image does not bake them in and the build must not fetch dependencies.
 lint:
+	@out=$$(gofmt -l .); \
+	if [ -n "$$out" ]; then \
+		echo "lint: gofmt would reformat:"; echo "$$out"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/expdb"
 	"repro/internal/render"
 )
 
@@ -21,7 +22,7 @@ import (
 // numbers live in BENCH_engine.json.
 func BenchmarkConcurrentSessions(b *testing.B) {
 	tree := syntheticCCT(20_000, 11)
-	snap := engine.NewTreeSnapshot(tree)
+	snap := engine.NewSnapshot(expdb.New(tree))
 	workload := func() error {
 		s := engine.NewSession(snap)
 		defer s.Close()

@@ -48,7 +48,6 @@ func TestBenchSmoke(t *testing.T) {
 		{"DBDecodeXML", BenchmarkDBDecodeXML},
 		{"DBDecodeBinary", BenchmarkDBDecodeBinary},
 		{"RenderViews", BenchmarkRenderViews},
-		{"SparseVsDenseMetrics", BenchmarkSparseVsDenseMetrics},
 		{"RenderHTMLReport", BenchmarkRenderHTMLReport},
 		{"SessionVisibleRows", BenchmarkSessionVisibleRows},
 		{"ImageFingerprint", BenchmarkImageFingerprint},

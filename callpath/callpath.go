@@ -310,7 +310,7 @@ const (
 // NewSession starts an interactive session; source (a workload's Program)
 // may be nil when no source pane is needed.
 func NewSession(t *Tree, source *Program) *Session {
-	s := engine.NewSession(engine.NewTreeSnapshot(t))
+	s := engine.NewSession(engine.NewSnapshot(expdb.New(t)))
 	s.SetSource(source)
 	return s
 }

@@ -82,9 +82,9 @@ func run(args []string) (err error) {
 	}()
 
 	if *interactive {
-		// Interactive sessions open the database lazily: the CCT and metric
-		// table decode now; the overrides and provenance sections decode
-		// only if a command touches them.
+		// Interactive sessions open the database as an engine snapshot:
+		// the CCT decodes now; metric column sections are verified and
+		// faulted in when a command first reads them.
 		return runInteractive(*db, derived, *workload, *structPath, *measDir, *jobs, *residency)
 	}
 
@@ -205,15 +205,15 @@ func run(args []string) (err error) {
 	}
 }
 
-// runInteractive opens the database lazily as an engine snapshot and
-// drives the REPL over one session of it. For a v2 database only the
-// string table, header, metric table and CCT are decoded up front;
-// override-backed metric columns (summaries, computed values) fault in
-// through the snapshot the first time a command sorts by, renders or
-// hot-paths them, and degradation notes appear on stderr the moment a
-// damaged section is first touched — exactly the notes an eager open
-// would have printed at startup. The CLI is a thin frontend: every
-// capability here (and in hpcserver) lives in internal/engine.
+// runInteractive opens the database as an engine snapshot (engine.Open: a
+// v3 file is mapped, a v1/v2/XML file is imported into a v3 heap image)
+// and drives the REPL over one session of it. Only the index and the CCT
+// are decoded up front; each metric column's section is checksum-verified
+// and faulted in the first time a command sorts by, renders or hot-paths
+// it, and a damaged column is detached with a degradation note that
+// appears on stderr after the command that touched it. The CLI is a thin
+// frontend: every capability here (and in hpcserver) lives in
+// internal/engine.
 func runInteractive(dbPath string, derived derivedFlags, workload, structPath, measDir string, jobs int, residency bool) error {
 	snap, err := engine.Open(dbPath)
 	if err != nil {

@@ -33,7 +33,8 @@ const (
 )
 
 // alloc returns a pointer to a zeroed Node inside the current slab,
-// starting a new slab when full.
+// starting a new slab when full. The node owns the store's next row and
+// allocates its own children from this arena.
 func (a *nodeArena) alloc() *Node {
 	if len(a.slab) == cap(a.slab) {
 		c := 2 * cap(a.slab)
@@ -47,11 +48,10 @@ func (a *nodeArena) alloc() *Node {
 	}
 	a.slab = a.slab[:len(a.slab)+1]
 	n := &a.slab[len(a.slab)-1]
-	if a.store != nil {
-		row := a.store.AddRow()
-		n.Base = metric.NewView(a.store, metric.PlaneBase, row)
-		n.Incl = metric.NewView(a.store, metric.PlaneIncl, row)
-		n.Excl = metric.NewView(a.store, metric.PlaneExcl, row)
-	}
+	row := a.store.AddRow()
+	n.Base = metric.NewView(a.store, metric.PlaneBase, row)
+	n.Incl = metric.NewView(a.store, metric.PlaneIncl, row)
+	n.Excl = metric.NewView(a.store, metric.PlaneExcl, row)
+	n.arena = a
 	return n
 }

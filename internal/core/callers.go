@@ -96,7 +96,6 @@ func BuildCallersView(t *Tree) *CallersView {
 			row = arena.alloc()
 			row.Key = Key{Kind: KindProc, Name: n.Name, File: n.File, Line: n.Line}
 			row.NoSource = n.NoSource
-			row.arena = arena
 			rows[id] = row
 			v.Roots = append(v.Roots, row)
 			v.expand[row] = &expandState{}

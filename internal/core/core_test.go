@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -131,6 +132,25 @@ func TestComputeMetricsFrameBoundary(t *testing.T) {
 	}
 }
 
+// A scope attached by hand from another tree is not a row of this tree's
+// metric store; ComputeMetrics refuses it instead of mixing stores.
+func TestComputeMetricsForeignScopePanics(t *testing.T) {
+	tree := NewTree("x", nil)
+	main := tree.AddPath(Key{Kind: KindFrame, Name: Sym("main")})
+	other := NewTree("y", nil)
+	foreign := other.AddPath(Key{Kind: KindStmt, File: Sym("b.c"), Line: 3})
+	foreign.Base.Add(0, 5)
+	main.Children = append(main.Children, foreign)
+	defer func() {
+		r := recover()
+		msg, _ := r.(string)
+		if !strings.Contains(msg, "not a row of the tree's metric store") {
+			t.Fatalf("ComputeMetrics over a foreign scope: recovered %v", r)
+		}
+	}()
+	tree.ComputeMetrics()
+}
+
 func TestSparseZeroScopes(t *testing.T) {
 	// A scope whose metrics are all zero keeps empty vectors — the
 	// representation behind "any metric table cell where data is zero is
@@ -187,7 +207,7 @@ func TestHotPathNilAndLeaf(t *testing.T) {
 	if HotPath(nil, 0, 0.5) != nil {
 		t.Fatal("nil start should give nil path")
 	}
-	leaf := &Node{Key: Key{Kind: KindStmt, File: Sym("a.c"), Line: 1}}
+	leaf := NewTree("t", nil).AddPath(Key{Kind: KindStmt, File: Sym("a.c"), Line: 1})
 	p := HotPath(leaf, 0, 0.5)
 	if len(p) != 1 || p[0] != leaf {
 		t.Fatal("leaf hot path should be itself")

@@ -40,7 +40,6 @@ func BuildFlatView(t *Tree) *FlatView {
 	arena := &nodeArena{store: metric.NewStore()}
 	root := arena.alloc()
 	root.Key = Key{Kind: KindRoot}
-	root.arena = arena
 
 	// active counts, per flat scope, how many CCT ancestors on the
 	// current walk path map into that scope's flat subtree.
@@ -115,7 +114,7 @@ func BuildFlatView(t *Tree) *FlatView {
 				cs.NoSource = n.NoSource
 				if active[cs] == 0 {
 					cs.Incl.AddView(&n.Incl)
-					cs.Excl.AddVector(StaticExcl(n))
+					addStaticExcl(&cs.Excl, n)
 				}
 				touched = append(touched, cs)
 			}

@@ -29,14 +29,11 @@ func HotPath(start *Node, metricID int, t float64) []*Node {
 	// Hoist the inclusive column slab out of the descent: per-child reads
 	// become direct row loads instead of store lookups. ColRead never
 	// materializes anything, so concurrent queries over a shared tree stay
-	// race-free; nodes from a different store (or none) take the slow path.
+	// race-free; nodes from a different store take the slow path.
 	st := start.Incl.Store()
-	var slab []float64
-	if st != nil {
-		slab = st.ColRead(metric.PlaneIncl, metricID)
-	}
+	slab := st.ColRead(metric.PlaneIncl, metricID)
 	incl := func(n *Node) float64 {
-		if st != nil && n.Incl.Store() == st {
+		if n.Incl.Store() == st {
 			if r := int(n.Incl.Row()); r < len(slab) {
 				return slab[r]
 			}
@@ -123,13 +120,6 @@ type SortSpec struct {
 	ByLabel bool
 }
 
-func (s SortSpec) value(n *Node) float64 {
-	if s.Exclusive {
-		return n.Excl.Get(s.MetricID)
-	}
-	return n.Incl.Get(s.MetricID)
-}
-
 // SortScopes orders a sibling list by the spec, breaking ties by label so
 // output is deterministic. The paper's navigation pane keeps every level
 // sorted by the selected metric column (Section V-A).
@@ -137,34 +127,34 @@ func (s SortSpec) value(n *Node) float64 {
 // Stable-sorting by a fixed less relation is uniquely determined, so the
 // slices.SortStableFunc comparator here orders identically to the
 // sort.SliceStable closure it replaces — without the interface boxing and
-// per-call closure allocations. On store-backed trees metric reads are
-// direct slab loads and tie-break labels come from the per-node label
-// cache, so steady-state sorting does not allocate.
+// per-call closure allocations. Metric reads are direct slab loads and
+// tie-break labels come from the per-node label cache, so steady-state
+// sorting does not allocate.
 func SortScopes(scopes []*Node, spec SortSpec) {
 	if spec.ByLabel {
 		SortScopesFunc(scopes, spec, nil)
 		return
 	}
+	if len(scopes) == 0 {
+		return
+	}
 	// Hoist the metric column slab out of the O(n log n) comparisons: on
-	// store-backed siblings each comparison is two direct row loads. The
-	// read-only slab may lag the row count; rows past its end are zero.
+	// siblings sharing the first scope's store each comparison is two
+	// direct row loads; a scope from another store (each Callers View root
+	// owns one) reads through its view. The read-only slab may lag the row
+	// count; rows past its end are zero.
 	plane := metric.PlaneIncl
 	if spec.Exclusive {
 		plane = metric.PlaneExcl
 	}
-	var st *metric.Store
-	var slab []float64
-	if len(scopes) > 0 {
-		if st = scopes[0].Incl.Store(); st != nil {
-			slab = st.ColRead(plane, spec.MetricID)
-		}
-	}
+	st := scopes[0].Incl.Store()
+	slab := st.ColRead(plane, spec.MetricID)
 	value := func(n *Node) float64 {
 		v := &n.Incl
 		if spec.Exclusive {
 			v = &n.Excl
 		}
-		if st != nil && v.Store() == st {
+		if v.Store() == st {
 			if r := int(v.Row()); r < len(slab) {
 				return slab[r]
 			}

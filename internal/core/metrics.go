@@ -23,13 +23,16 @@ import (
 // call-site/callee line reports "the cost of the callee and any routine it
 // calls" (Section V-B).
 //
-// On a store-backed tree the computation runs column-at-a-time over the
-// contiguous metric slabs: one postorder index is built per recomputation
-// (child lists may have been re-sorted since) and each column is then a
-// pair of linear sweeps. Per-parent accumulation follows child order — the
-// same addition sequence as the per-node recursion — and zero additions are
-// bitwise no-ops (slabs never hold negative zero), so the columnar results
-// are bitwise identical to the sparse-vector recursion they replace.
+// The computation runs column-at-a-time over the contiguous metric slabs:
+// one postorder index is built per recomputation (child lists may have been
+// re-sorted since) and each column is then a pair of linear sweeps.
+// Per-parent accumulation follows child order, and zero additions are
+// bitwise no-ops (slabs never hold negative zero), so every value is the
+// same sum, in the same order, as a per-node recursion would form.
+//
+// Every scope must be a row of the tree's own store. Children is exported,
+// so a scope from another tree can be attached by hand; ComputeMetrics
+// panics on one rather than mixing stores.
 func (t *Tree) ComputeMetrics() {
 	t.computeMu.Lock()
 	defer t.computeMu.Unlock()
@@ -92,26 +95,20 @@ func (tp *topoScratch) reset() {
 	tp.stmtRows = tp.stmtRows[:0]
 }
 
-// buildTopo flattens the tree into t.topo. It reports false when some node
-// is not backed by the tree's store (hand-attached children on a hand-built
-// tree), in which case the caller must use the per-node recursion.
-func (t *Tree) buildTopo() bool {
+// buildTopo flattens the tree into t.topo. It panics on a scope that is
+// not a row of the tree's store.
+func (t *Tree) buildTopo() {
 	st := t.arena.store
 	tp := &t.topo
 	tp.reset()
-	ok := true
 	var visit func(n *Node, parentRow int32)
 	visit = func(n *Node, parentRow int32) {
-		if !ok || n.Base.Store() != st {
-			ok = false
-			return
+		if n.Base.Store() != st {
+			panic(fmt.Sprintf("core: scope %q of tree %q is not a row of the tree's metric store", n.Label(), t.Program))
 		}
 		row := n.Base.Row()
 		for _, c := range n.Children {
 			visit(c, row)
-			if !ok {
-				return
-			}
 		}
 		tp.post = append(tp.post, row)
 		tp.parent = append(tp.parent, parentRow)
@@ -138,21 +135,15 @@ func (t *Tree) buildTopo() bool {
 		tp.stmtHi = append(tp.stmtHi, int32(len(tp.stmtRows)))
 	}
 	visit(t.Root, -1)
-	return ok
 }
 
 // recomputeMetrics does the actual Equation 1/2 computation; callers hold
 // computeMu. Presented values are replaced outright — summary/computed
 // overrides and derived columns are wiped and re-applied by their owners
-// afterwards, exactly as with the per-node vector replacement this
-// supersedes.
+// afterwards.
 func (t *Tree) recomputeMetrics() {
 	st := t.arena.store
-	if st == nil || !t.buildTopo() {
-		t.recomputeMetricsGeneric()
-		t.computed = true
-		return
-	}
+	t.buildTopo()
 	tp := &t.topo
 	rows := st.NumRows()
 	if cap(t.fl) < rows {
@@ -208,55 +199,22 @@ func (t *Tree) recomputeMetrics() {
 	t.computed = true
 }
 
-// recomputeMetricsGeneric is the per-node recursion, kept for trees whose
-// nodes are not all backed by the tree's store (hand-built Tree literals,
-// hand-attached children in tests).
-func (t *Tree) recomputeMetricsGeneric() {
-	var visit func(n *Node) (incl, frameLocal *metric.Vector)
-	visit = func(n *Node) (*metric.Vector, *metric.Vector) {
-		incl := n.Base.Clone()
-		frameLocal := n.Base.Clone()
-		for _, c := range n.Children {
-			ci, cf := visit(c)
-			incl.AddVector(ci)
-			if c.Kind != KindFrame {
-				frameLocal.AddVector(cf)
+// addStaticExcl adds a frame's exclusive cost under the *static* rule —
+// the sum of Base over the frame and its direct statement children — into
+// dst. This is what the Flat View's dynamic call-site rows report (Figure
+// 2c's hy shows 0 because all of h's samples are nested in loops, not
+// direct children). Each column's total is formed first, frame then
+// children in child order, and then added into dst.
+func addStaticExcl(dst *metric.View, frame *Node) {
+	for col := range frame.Base.Store().NumCols(metric.PlaneBase) {
+		v := frame.Base.Get(col)
+		for _, c := range frame.Children {
+			if c.Kind == KindStmt {
+				v += c.Base.Get(col)
 			}
 		}
-		switch n.Kind {
-		case KindFrame:
-			n.Excl.SetVector(frameLocal)
-		case KindLoop, KindAlien:
-			ex := n.Base.Clone()
-			for _, c := range n.Children {
-				if c.Kind == KindStmt {
-					c.Base.Range(func(id int, x float64) { ex.Add(id, x) })
-				}
-			}
-			n.Excl.SetVector(ex)
-		case KindRoot:
-			n.Excl.Reset()
-		default:
-			n.Excl.SetVector(n.Base.Clone())
-		}
-		n.Incl.SetVector(incl)
-		return incl, frameLocal
+		dst.Add(col, v)
 	}
-	visit(t.Root)
-}
-
-// StaticExcl computes a frame's exclusive cost under the *static* rule: the
-// sum of Base over its direct statement children. This is what the Flat
-// View's dynamic call-site rows report (Figure 2c's hy shows 0 because all
-// of h's samples are nested in loops, not direct children).
-func StaticExcl(frame *Node) *metric.Vector {
-	ex := frame.Base.Clone()
-	for _, c := range frame.Children {
-		if c.Kind == KindStmt {
-			c.Base.Range(func(id int, x float64) { ex.Add(id, x) })
-		}
-	}
-	return ex
 }
 
 // compiledDerived pairs a derived column with its compiled stack program.
@@ -311,17 +269,13 @@ func ApplyDerived(reg *metric.Registry, start *Node) error {
 	return nil
 }
 
-// ApplyDerivedTree applies derived metrics to the whole tree. On a
-// store-backed tree each formula runs as a vectorized kernel over whole
-// metric columns: per derived column — in registry order, so a later
-// formula referencing an earlier derived column sees its final values, like
-// the per-node walk — the referenced slabs are prefetched once and the
-// compiled program fills the output column in a single pass.
+// ApplyDerivedTree applies derived metrics to the whole tree. Each formula
+// runs as a vectorized kernel over whole metric columns: per derived column
+// — in registry order, so a later formula referencing an earlier derived
+// column sees its final values — the referenced slabs are prefetched once
+// and the compiled program fills the output column in a single pass.
 func (t *Tree) ApplyDerivedTree() error {
 	st := t.arena.store
-	if st == nil || !storeBacked(t.Root, st) {
-		return ApplyDerived(t.Reg, t.Root)
-	}
 	derived, err := compileDerived(t.Reg, t.derived[:0])
 	t.derived = derived
 	if err != nil {
@@ -339,19 +293,4 @@ func (t *Tree) ApplyDerivedTree() error {
 		}
 	}
 	return nil
-}
-
-// storeBacked reports whether every node under n reads and writes store st
-// — the precondition for whole-column kernels. Closure-free so the check
-// itself does not allocate.
-func storeBacked(n *Node, st *metric.Store) bool {
-	if n.Base.Store() != st {
-		return false
-	}
-	for _, c := range n.Children {
-		if !storeBacked(c, st) {
-			return false
-		}
-	}
-	return true
 }

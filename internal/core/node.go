@@ -128,8 +128,9 @@ type Node struct {
 	// Child scans them whatever their fan-out.
 	index map[Key]*Node
 
-	// arena is the tree's node allocator; children of an arena-owned
-	// node are allocated from the same arena. Nil for hand-built nodes.
+	// arena is the allocator that made this node; its children are
+	// allocated from the same arena and its metric views address rows of
+	// the arena's store.
 	arena *nodeArena
 
 	// labelSym caches the interned Label() so repeated sort tie-breaks
@@ -140,9 +141,9 @@ type Node struct {
 
 	// Base holds directly attributed costs: sample counts at statements
 	// (and barrier samples at dynamic scopes). Views and Equations 1/2
-	// are computed from Base. For nodes of an arena-owned tree the three
-	// vectors are views into the tree's columnar metric store, indexed by
-	// the node's dense row id.
+	// are computed from Base. The three vectors are views into the
+	// columnar metric store of the node's arena, indexed by the node's
+	// dense row id.
 	Base metric.View
 	// Excl is the presented exclusive cost (Equation 1 / view rules).
 	Excl metric.View
@@ -172,15 +173,9 @@ func (n *Node) Child(k Key, create bool) *Node {
 	if !create {
 		return nil
 	}
-	var c *Node
-	if n.arena != nil {
-		c = n.arena.alloc()
-	} else {
-		c = new(Node)
-	}
+	c := n.arena.alloc()
 	c.Key = k
 	c.Parent = n
-	c.arena = n.arena
 	n.Children = append(n.Children, c)
 	if n.index != nil {
 		n.index[k] = c
@@ -309,13 +304,11 @@ func NewTree(program string, reg *metric.Registry) *Tree {
 	t.arena.store = metric.NewStore()
 	t.Root = t.arena.alloc()
 	t.Root.Key = Key{Kind: KindRoot}
-	t.Root.arena = &t.arena
 	return t
 }
 
 // MetricStore returns the tree's columnar metric store: one slab per metric
-// column per plane, indexed by dense node row (Node.Base.Row()). Nil only
-// for hand-built Tree literals.
+// column per plane, indexed by dense node row (Node.Base.Row()).
 func (t *Tree) MetricStore() *metric.Store { return t.arena.store }
 
 // AddPath materializes (or finds) the scope chain keys under the root and

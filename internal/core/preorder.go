@@ -71,7 +71,6 @@ func (b *PreorderBuilder) Append(parent *Node, k Key) (*Node, error) {
 	c := b.t.arena.alloc()
 	c.Key = k
 	c.Parent = parent
-	c.arena = &b.t.arena
 	parent.Children = append(parent.Children, c)
 	if len(parent.Children) == cap(parent.Children) {
 		if err := b.checkSiblings(parent); err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/expdb"
 	"repro/internal/render"
 )
 
@@ -30,7 +31,7 @@ func TestGoldenViews(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := NewSession(NewTreeSnapshot(core.Fig1Tree()))
+			s := NewSession(NewSnapshot(expdb.New(core.Fig1Tree())))
 			defer s.Close()
 			for _, line := range tc.script {
 				if resp := s.Do(Request{Line: line}); resp.Err != "" {

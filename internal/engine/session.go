@@ -93,8 +93,8 @@ type Session struct {
 	cache *queryCache
 	// overlay holds materialized session-derived columns; see overlay.go.
 	overlay map[*metric.Store]*overlayCols
-	// requested tracks which columns this session has offered to the
-	// snapshot's faulter; faultErr records the first failure (surfaced by
+	// requested tracks which columns this session has asked the snapshot
+	// to fault in; faultErr records the first failure (surfaced by
 	// the next Render, then cleared).
 	requested map[int]bool
 	faultErr  error
@@ -276,7 +276,7 @@ func (s *Session) FlattenLevel() int { return s.flatten }
 
 // --- fault phase -----------------------------------------------------
 
-// faultColumn offers one sealed column to the snapshot's faulter, once per
+// faultColumn asks the snapshot to fault in one sealed column, once per
 // session. A first offer may change metric values (even when another
 // session already materialized the column — this session had not observed
 // it), so it invalidates the session's memoized orders. Must not be called

@@ -44,15 +44,17 @@ import (
 // orders, hot paths and overlay columns.
 type Snapshot struct {
 	tree *core.Tree
-	exp  *expdb.Experiment // nil for bare-tree snapshots
-	mdb  *expdb.MappedDB   // nil unless opened from a database file
+	exp  *expdb.Experiment
+	// mdb is the database image the snapshot was opened from; nil for an
+	// in-memory experiment (NewSnapshot). Its columns fault in lazily, and
+	// it is closed when the last owner releases the snapshot.
+	mdb *expdb.MappedDB
 
 	// refs counts owners: the creator (released by Close) plus one per
-	// live Session. closer runs when the count hits zero — for mapped
-	// snapshots it unmaps the file, so it must not run while any session
+	// live Session. The database closes when the count hits zero — for a
+	// mapped file that unmaps it, so it must not happen while any session
 	// could still dereference a borrowed slab.
-	refs   atomic.Int64
-	closer func() error
+	refs atomic.Int64
 
 	// baseCols is the registry length at seal time: the boundary between
 	// shared database columns (below) and session-overlay derived columns
@@ -60,7 +62,7 @@ type Snapshot struct {
 	baseCols int
 
 	// hookMu guards lastRelease: hooks appended by lifecycle owners (the
-	// catalog) that run after the closer at final release.
+	// catalog) that run after the database closes at final release.
 	hookMu      sync.Mutex
 	lastRelease []func()
 
@@ -71,31 +73,20 @@ type Snapshot struct {
 	// atomically so sessions can check it cheaply under the read lock.
 	gen atomic.Uint64
 
-	// faulter loads one metric column on first use; faulted memoizes the
-	// per-column outcome so each column faults exactly once per snapshot.
-	// Guarded by mu.
-	faulter func(metricID int) error
+	// faulted memoizes the per-column outcome of the database's column
+	// fault-in, so each column faults exactly once per snapshot. Guarded
+	// by mu.
 	faulted map[int]error
 	// allFaulted short-circuits FaultAll once every column has been
 	// offered. Guarded by mu.
 	allFaulted bool
-	// lazyFlag mirrors faulter != nil so sessions can test for lazy
-	// columns without taking the lock.
-	lazyFlag atomic.Bool
 }
 
 // NewSnapshot seals an in-memory experiment. The experiment must be fully
-// materialized (expdb.Read and expdb.FromMerge results are).
+// materialized (expdb.Read and expdb.FromMerge results are); a bare tree
+// is sealed as NewSnapshot(expdb.New(t)).
 func NewSnapshot(exp *expdb.Experiment) *Snapshot {
 	sn := &Snapshot{tree: exp.Tree, exp: exp}
-	sn.seal()
-	return sn
-}
-
-// NewTreeSnapshot seals a bare computed tree (no database around it) — the
-// entry point for hand-built trees and tests.
-func NewTreeSnapshot(t *core.Tree) *Snapshot {
-	sn := &Snapshot{tree: t}
 	sn.seal()
 	return sn
 }
@@ -113,8 +104,6 @@ func NewMappedSnapshot(mdb *expdb.MappedDB) (*Snapshot, error) {
 		return nil, err
 	}
 	sn := &Snapshot{tree: exp.Tree, exp: exp, mdb: mdb}
-	sn.faulter = mdb.NeedColumn
-	sn.closer = mdb.Close
 	sn.seal()
 	return sn, nil
 }
@@ -141,7 +130,6 @@ func (sn *Snapshot) seal() {
 	sn.tree.EnsureComputed()
 	sn.baseCols = sn.tree.Reg.Len()
 	sn.faulted = map[int]error{}
-	sn.lazyFlag.Store(sn.faulter != nil)
 	sn.refs.Store(1)
 }
 
@@ -150,15 +138,15 @@ func (sn *Snapshot) seal() {
 // session.
 func (sn *Snapshot) Retain() { sn.refs.Add(1) }
 
-// Release drops one owner; the last release runs the snapshot's closer
-// (unmapping the file for mapped databases), then any OnLastRelease hooks.
+// Release drops one owner; the last release closes the database
+// (unmapping a mapped file), then runs any OnLastRelease hooks.
 func (sn *Snapshot) Release() error {
 	if sn.refs.Add(-1) != 0 {
 		return nil
 	}
 	var err error
-	if sn.closer != nil {
-		err = sn.closer()
+	if sn.mdb != nil {
+		err = sn.mdb.Close()
 	}
 	sn.hookMu.Lock()
 	hooks := sn.lastRelease
@@ -191,13 +179,14 @@ func (sn *Snapshot) OnLastRelease(f func()) {
 // snapshot (and its mapping) alive until they close.
 func (sn *Snapshot) Close() error { return sn.Release() }
 
-// lazy reports whether the snapshot has lazily faulted columns.
-func (sn *Snapshot) lazy() bool { return sn.lazyFlag.Load() }
+// lazy reports whether the snapshot has lazily faulted columns: it was
+// opened from a database image.
+func (sn *Snapshot) lazy() bool { return sn.mdb != nil }
 
 // Tree returns the shared tree. Callers must treat it as read-only.
 func (sn *Snapshot) Tree() *core.Tree { return sn.tree }
 
-// Experiment returns the database wrapper (nil for bare-tree snapshots).
+// Experiment returns the database wrapper.
 func (sn *Snapshot) Experiment() *expdb.Experiment { return sn.exp }
 
 // BaseColumns reports the number of sealed registry columns; session
@@ -210,9 +199,6 @@ func (sn *Snapshot) Generation() uint64 { return sn.gen.Load() }
 // Notes returns a copy of the database's degradation notes (fault-in may
 // append to them; the copy is taken under the read lock).
 func (sn *Snapshot) Notes() []string {
-	if sn.exp == nil {
-		return nil
-	}
 	sn.mu.RLock()
 	defer sn.mu.RUnlock()
 	return append([]string(nil), sn.exp.Notes...)
@@ -245,9 +231,6 @@ func (sn *Snapshot) SectionSpans() []expdb.SectionSpan {
 // when absent).
 func (sn *Snapshot) Provenance() (*ingest.Report, error) {
 	if sn.mdb == nil {
-		if sn.exp == nil {
-			return nil, nil
-		}
 		return sn.exp.Provenance, nil
 	}
 	sn.mu.Lock()
@@ -283,7 +266,7 @@ func (sn *Snapshot) NodeAt(row int) *core.Node {
 	return sn.mdb.NodeAt(row)
 }
 
-// needColumn runs the column faulter exactly once per column across every
+// needColumn faults a column in exactly once per column across every
 // session of the snapshot, under the write lock (queries are excluded while
 // shared slabs may be rewritten). The recorded outcome is returned to every
 // later requester. Each first-time fault advances the generation.
@@ -294,19 +277,19 @@ func (sn *Snapshot) needColumn(id int) error {
 }
 
 func (sn *Snapshot) needColumnLocked(id int) error {
-	if sn.faulter == nil {
+	if sn.mdb == nil {
 		return nil
 	}
 	if err, ok := sn.faulted[id]; ok {
 		return err
 	}
 	sn.gen.Add(1)
-	err := sn.faulter(id)
+	err := sn.mdb.NeedColumn(id)
 	sn.faulted[id] = err
 	return err
 }
 
-// FaultAll offers every sealed column to the faulter. Sessions call it
+// FaultAll faults in every sealed column. Sessions call it
 // before building or expanding an aggregating view (Callers, Flat): those
 // views copy every resident column of the scopes they aggregate, so their
 // contents must not depend on which columns other sessions happened to
@@ -316,7 +299,7 @@ func (sn *Snapshot) needColumnLocked(id int) error {
 func (sn *Snapshot) FaultAll() error {
 	sn.mu.Lock()
 	defer sn.mu.Unlock()
-	if sn.faulter == nil || sn.allFaulted {
+	if sn.mdb == nil || sn.allFaulted {
 		return nil
 	}
 	var first error

@@ -902,9 +902,6 @@ func readBaseValues(br *bufio.Reader, n *core.Node, remaining func() int64) erro
 	if int64(nb) > remaining()/9+1 {
 		return fmt.Errorf("expdb: implausible base count %d", nb)
 	}
-	if nb > 0 && nb <= 1<<16 {
-		n.Base.Grow(int(nb))
-	}
 	for i := uint64(0); i < nb; i++ {
 		col, err := getU(br)
 		if err != nil {

@@ -2,63 +2,67 @@ package metric
 
 import "testing"
 
-// Vector's fast paths keep the metric hot loops allocation-free; pin them.
+// Row writes into materialized slabs keep the metric hot loops
+// allocation-free; pin them.
 
 func TestAddHitAllocs(t *testing.T) {
-	var v Vector
+	v := newRows(1)[0]
 	v.Add(0, 1)
 	if n := testing.AllocsPerRun(1000, func() { v.Add(0, 1) }); n != 0 {
 		t.Errorf("Add to existing column allocates %v/op, want 0", n)
 	}
 }
 
+// Rows claimed after a slab was sized write into its spare capacity.
 func TestAddAppendWithinCapacityAllocs(t *testing.T) {
-	var v Vector
-	id := 0
-	v.Grow(2048)
-	if n := testing.AllocsPerRun(1000, func() {
-		id++
-		v.Add(id, 1)
+	s := NewStore()
+	v := NewView(s, PlaneBase, s.AddRow())
+	v.Add(0, 1) // first write sizes the slab to its minimum capacity
+	if n := testing.AllocsPerRun(32, func() {
+		w := NewView(s, PlaneBase, s.AddRow())
+		w.Add(0, 1)
 	}); n != 0 {
-		t.Errorf("Add append within capacity allocates %v/op, want 0", n)
+		t.Errorf("Add to a new row within capacity allocates %v/op, want 0", n)
 	}
 }
 
 func TestAddVectorAlignedAllocs(t *testing.T) {
-	var v, o Vector
+	rows := newRows(2)
+	v, o := rows[0], rows[1]
 	o.Add(0, 1)
 	o.Add(3, 2)
-	v.AddVector(&o)
-	if n := testing.AllocsPerRun(1000, func() { v.AddVector(&o) }); n != 0 {
-		t.Errorf("AddVector over identical id sets allocates %v/op, want 0", n)
+	v.AddView(&o)
+	if n := testing.AllocsPerRun(1000, func() { v.AddView(&o) }); n != 0 {
+		t.Errorf("AddView over identical column sets allocates %v/op, want 0", n)
 	}
 }
 
 func TestAddVectorDisjointAppendAllocs(t *testing.T) {
-	var v, o Vector
+	rows := newRows(3)
+	v, o, w := rows[0], rows[1], rows[2]
 	v.Add(0, 1)
-	v.Grow(2048)
 	o.Add(1, 1)
-	// v's tail id stays below o's head id, so every run takes the append
-	// path; with capacity in place it never allocates.
+	w.Add(1, 1) // materializes column 1 over v's row too
+	// v holds only column 0 and o only column 1; adding o into v fills a
+	// cell the slab already covers.
 	if n := testing.AllocsPerRun(1000, func() {
-		v.ids = v.ids[:1]
-		v.vals = v.vals[:1]
-		v.AddVector(&o)
+		v.Set(1, 0)
+		v.AddView(&o)
 	}); n != 0 {
-		t.Errorf("AddVector disjoint append allocates %v/op, want 0", n)
+		t.Errorf("AddView of a disjoint column allocates %v/op, want 0", n)
 	}
 }
 
 func TestAddVectorIntoEmptySingleCopy(t *testing.T) {
-	var o Vector
+	rows := newRows(2)
+	v, o := rows[0], rows[1]
 	o.Add(0, 1)
 	o.Add(5, 2)
-	// One allocation per backing slice (ids, vals): the copy is pre-sized.
+	// Copying a row into a blank row of the same store reuses the slabs.
 	if n := testing.AllocsPerRun(1000, func() {
-		var v Vector
-		v.AddVector(&o)
-	}); n > 2 {
-		t.Errorf("AddVector into empty vector allocates %v/op, want <= 2", n)
+		v.Reset()
+		v.AddView(&o)
+	}); n != 0 {
+		t.Errorf("AddView into a blank row allocates %v/op, want 0", n)
 	}
 }

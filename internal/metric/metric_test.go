@@ -1,12 +1,6 @@
 package metric
 
-import (
-	"math/rand"
-	"reflect"
-	"sort"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestRegistryAddRaw(t *testing.T) {
 	r := NewRegistry()
@@ -76,173 +70,5 @@ func TestRegistrySummaryNames(t *testing.T) {
 	}
 	if _, err := r.AddSummary(99, OpMax); err == nil {
 		t.Fatal("summary of unknown column accepted")
-	}
-}
-
-func TestVectorBasics(t *testing.T) {
-	var v Vector
-	if !v.IsZero() || v.Get(3) != 0 || v.Has(3) {
-		t.Fatal("zero vector misbehaves")
-	}
-	v.Set(3, 1.5)
-	v.Set(1, 2)
-	v.Add(3, 0.5)
-	if got := v.Get(3); got != 2 {
-		t.Fatalf("Get(3) = %g, want 2", got)
-	}
-	if got := v.Get(1); got != 2 {
-		t.Fatalf("Get(1) = %g, want 2", got)
-	}
-	if v.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", v.Len())
-	}
-	// setting to zero removes the entry (sparse invariant)
-	v.Set(3, 0)
-	if v.Has(3) || v.Len() != 1 {
-		t.Fatal("zero entry retained")
-	}
-	// Add that cancels removes the entry too
-	v.Add(1, -2)
-	if !v.IsZero() {
-		t.Fatalf("vector not empty after cancel: %v", v.String())
-	}
-}
-
-func TestVectorRangeOrdered(t *testing.T) {
-	var v Vector
-	for _, id := range []int{9, 2, 5, 0, 7} {
-		v.Set(id, float64(id)+0.5)
-	}
-	var ids []int
-	v.Range(func(id int, x float64) {
-		ids = append(ids, id)
-		if x != float64(id)+0.5 {
-			t.Fatalf("value mismatch at %d: %g", id, x)
-		}
-	})
-	if !sort.IntsAreSorted(ids) {
-		t.Fatalf("Range not in ascending order: %v", ids)
-	}
-}
-
-func TestVectorAddVector(t *testing.T) {
-	var a, b Vector
-	a.Set(0, 1)
-	a.Set(2, 3)
-	b.Set(1, 10)
-	b.Set(2, -3) // cancels a's entry
-	b.Set(5, 7)
-	a.AddVector(&b)
-	want := map[int]float64{0: 1, 1: 10, 5: 7}
-	got := map[int]float64{}
-	a.Range(func(id int, x float64) { got[id] = x })
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("AddVector = %v, want %v", got, want)
-	}
-}
-
-func TestVectorAddVectorIntoEmpty(t *testing.T) {
-	var a, b Vector
-	b.Set(4, 2)
-	a.AddVector(&b)
-	if a.Get(4) != 2 {
-		t.Fatal("AddVector into empty failed")
-	}
-	// must be an independent copy
-	b.Set(4, 99)
-	if a.Get(4) != 2 {
-		t.Fatal("AddVector aliased the source")
-	}
-}
-
-func TestVectorClone(t *testing.T) {
-	var v Vector
-	v.Set(1, 2)
-	c := v.Clone()
-	c.Set(1, 5)
-	if v.Get(1) != 2 {
-		t.Fatal("Clone aliases storage")
-	}
-	if (&Vector{}).Clone().Len() != 0 {
-		t.Fatal("Clone of empty not empty")
-	}
-}
-
-// Property: a Vector agrees with a reference map under a random operation
-// sequence.
-func TestVectorMatchesMapModel(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		var v Vector
-		model := map[int]float64{}
-		for i := 0; i < 200; i++ {
-			id := rng.Intn(12)
-			x := float64(rng.Intn(7) - 3)
-			if rng.Intn(2) == 0 {
-				v.Set(id, x)
-				if x == 0 {
-					delete(model, id)
-				} else {
-					model[id] = x
-				}
-			} else {
-				v.Add(id, x)
-				if model[id]+x == 0 {
-					delete(model, id)
-				} else {
-					model[id] += x
-				}
-			}
-		}
-		if v.Len() != len(model) {
-			return false
-		}
-		for id, want := range model {
-			if v.Get(id) != want {
-				return false
-			}
-		}
-		// entries stay sorted and non-zero
-		prev := -1
-		ok := true
-		v.Range(func(id int, x float64) {
-			if id <= prev || x == 0 {
-				ok = false
-			}
-			prev = id
-		})
-		return ok
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: AddVector is equivalent to element-wise addition.
-func TestVectorAddVectorProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		var a, b Vector
-		want := map[int]float64{}
-		for i := 0; i < 50; i++ {
-			id, x := rng.Intn(20), float64(rng.Intn(9)-4)
-			a.Add(id, x)
-			want[id] += x
-		}
-		for i := 0; i < 50; i++ {
-			id, x := rng.Intn(20), float64(rng.Intn(9)-4)
-			b.Add(id, x)
-			want[id] += x
-		}
-		a.AddVector(&b)
-		for id, w := range want {
-			if a.Get(id) != w {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

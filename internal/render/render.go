@@ -10,7 +10,8 @@
 //     41.4%") instead of "naively long and painful numbers";
 //   - blank cells for zero values;
 //   - sparse presentation: scopes without data never appear (they are
-//     never created — see internal/metric's sparse vectors);
+//     never created), and a metric row lists only its non-zero cells
+//     (internal/metric's View);
 //   - depth and top-N truncation with explicit elision markers, and
 //     hot-path highlighting.
 package render

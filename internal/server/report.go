@@ -4,8 +4,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"repro/internal/engine"
-	"repro/internal/expdb"
 	"repro/internal/report"
 )
 
@@ -65,8 +63,9 @@ func (srv *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 			"server has no default database; pass ?db=NAME")
 		return
 	}
-	exp, err := reportExperiment(snap)
-	if err != nil {
+	// The analyses read every raw and summary value: fault in the lazy
+	// columns first.
+	if err := snap.FaultAll(); err != nil {
 		writeError(w, http.StatusInternalServerError, "report-failed", err.Error())
 		return
 	}
@@ -77,14 +76,14 @@ func (srv *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		defer acq.Release()
-		opt.Baseline, err = reportExperiment(acq)
-		if err != nil {
+		if err := acq.FaultAll(); err != nil {
 			writeError(w, http.StatusInternalServerError, "report-failed", err.Error())
 			return
 		}
+		opt.Baseline = acq.Experiment()
 	}
 
-	rep, err := report.Build(exp, opt)
+	rep, err := report.Build(snap.Experiment(), opt)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "report-failed", err.Error())
 		return
@@ -100,16 +99,4 @@ func (srv *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(b)
-}
-
-// reportExperiment faults a snapshot's lazy columns (the analyses read
-// every raw and summary value) and wraps it for the report builder.
-func reportExperiment(sn *engine.Snapshot) (*expdb.Experiment, error) {
-	if err := sn.FaultAll(); err != nil {
-		return nil, err
-	}
-	if exp := sn.Experiment(); exp != nil {
-		return exp, nil
-	}
-	return &expdb.Experiment{Program: sn.Tree().Program, NRanks: 1, Tree: sn.Tree()}, nil
 }

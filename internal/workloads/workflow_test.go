@@ -16,12 +16,13 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/expdb"
 )
 
 func TestSectionVIBAnalysisWorkflow(t *testing.T) {
 	tree := runSeq(t, MOAB())
 	l1 := col(t, tree, "L1_DCM")
-	s := engine.NewSession(engine.NewTreeSnapshot(tree))
+	s := engine.NewSession(engine.NewSnapshot(expdb.New(tree)))
 	s.SetSource(MOAB().Program)
 
 	// Step 1: Calling Context View, hot path on L1 misses. For MOAB no
